@@ -7,21 +7,24 @@ FormCatalog fixes a field F_q and a working precision and caches:
   delta   discriminant,     -h**(q-1)
   e       false Eisenstein, sum c u_c
   d2      the unit-root deformation: the unique series with constant
-          term 1 solving X = g X^(1) + delta (t - theta**q) X^(2)
+          term 1 solving X = g X^(1) + delta (t - theta**q) X^(2),
+          solved one u-coefficient at a time
   ee      deformation of e with expansion sum chi_t(c) u_c
 
 plus the families f_{l,nu} = sum c**(l q**nu) u_c**l (1 <= l <= q) and
 f_s = sum c**(1 + s(q-1)) u_c.  Each sum runs over the monic c whose
 term valuation stays below the precision, so truncations are exact.
+The powers u_c**l with 1 < l < q come from sparse steps by the
+(deg c + 1)-term polynomial u**(q**deg c) phi_c(1/u) (see u_c_power).
 
 All comparisons are reported with the first differing u-exponent, never
 asserted, so the same machinery drives both the verified identities and
 the open-ended experiments.
 """
 
-from .errors import PrecisionError, ResourceLimitError
+from .errors import PrecisionError
 from .polynomials import BiPoly, enumerate_monic
-from .series import USeries, u_c_expansion
+from .series import USeries, u_c_expansion, u_c_power
 
 # Empirically fixed sign s in ee = s * h * tau(d2).  The A-expansion
 # sum chi_t(c) u_c is the ground truth; a test pins this constant.
@@ -83,6 +86,8 @@ class FormCatalog:
         if cached is None:
             if power == 1:
                 cached = u_c_expansion(c, self.prec)
+            elif 1 < power < self.field.q:
+                cached = u_c_power(self.u_c(c), c, power)
             else:
                 cached = (self.u_c(c) ** power).truncate(self.prec)
             self._uc_pow[key] = cached
@@ -137,31 +142,39 @@ class FormCatalog:
 
     @property
     def d2(self):
-        return self._cached("d2", self._d2_fixed_point)
+        return self._cached("d2", self._d2_recurrence)
 
-    def _d2_fixed_point(self):
-        """Iterate X -> g X^(1) + delta (t - theta**q) X^(2) from X = 1.
+    def _d2_recurrence(self):
+        """Solve X = g X^(1) + D X^(2), D = delta (t - theta**q), from x_0 = 1.
 
-        Each pass at least multiplies the valuation of the correction by
-        q, so stabilisation within the budget is guaranteed; running out
-        of budget would mean the arithmetic itself is broken.
+        Comparing coefficients of u**n gives
+            x_n = sum_k g_(n - kq) tau(x_k) + sum_k D_(n - kq**2) tau**2(x_k),
+        and for n >= 1 every x_k on the right has k <= n / q < n, so one
+        pass in increasing n solves it.  tau(x_k) and tau**2(x_k) are twisted
+        once, when x_k is found.
         """
         field, prec, q = self.field, self.prec, self.field.q
-        scaled_delta = self.delta.scale(t_minus_theta_pow(field, q))
-        budget, reach = 4, q - 1
-        while reach < prec:
-            reach *= q
-            budget += 1
-        x = USeries.one(field, prec)
-        for _ in range(budget):
-            t1 = x.tau(1).truncate(prec)
-            t2 = x.tau(2).truncate(prec)
-            nxt = self.g * t1 + scaled_delta * t2
-            nxt = nxt.truncate(prec)
-            if nxt == x:
-                return x
-            x = nxt
-        raise ResourceLimitError("fixed-point iteration failed to stabilise")
+        g = self.g.coeffs
+        scaled_delta = self.delta.scale(t_minus_theta_pow(field, q)).coeffs
+        one = BiPoly.one(field)
+        x = {0: one}
+        twisted = [(0, one, one)]  # (k, tau(x_k), tau**2(x_k)) for nonzero x_k
+        for n in range(1, prec):
+            pairs = []
+            for k, tau1, tau2 in twisted:
+                if k * q > n:
+                    break
+                a = g.get(n - k * q)
+                if a is not None:
+                    pairs.append((a, tau1))
+                b = scaled_delta.get(n - k * q * q)
+                if b is not None:
+                    pairs.append((b, tau2))
+            xn = BiPoly.sum_of_products(field, pairs)
+            if not xn.is_zero:
+                x[n] = xn
+                twisted.append((n, xn.tau_twist(1), xn.tau_twist(2)))
+        return USeries(field, prec, x)
 
     # -- A-expansion families ------------------------------------------------------
 
@@ -213,8 +226,9 @@ class FormCatalog:
 
     def divide_by_h_power(self, x, k):
         """Exact division by h**k via h = u * unit; raises if not divisible."""
-        unit = self.h.shift(-1)
-        return (x * (unit.inv() ** k)).shift(-k)
+        unit_inv = self._cached(("h_unit_inv", k),
+                                lambda: self.h.shift(-1).inv() ** k)
+        return (x * unit_inv).shift(-k)
 
     def resolve_recursive(self, nu):
         """Test the candidate recursions

@@ -20,6 +20,27 @@ def _same_field(a, b):
         raise ValueError("operands live over different fields")
 
 
+def _mul_into(out, terms1, terms2, add, mul):
+    """Add the product of two BiPoly term maps into the term map out.
+
+    The kernel of USeries products and BiPoly.sum_of_products.  add and
+    mul are the field's tables; out keeps no zeros.  BiPoly.__mul__ keeps
+    its own copy of the loop, because the extra call costs about 7% on
+    one- and two-term products (timeit over F_5, Python 3.11).
+    """
+    get = out.get
+    items2 = terms2.items()
+    for (i1, j1), v1 in terms1.items():
+        row = mul[v1]
+        for (i2, j2), v2 in items2:
+            key = (i1 + i2, j1 + j2)
+            s = add[get(key, 0)][row[v2]]
+            if s:
+                out[key] = s
+            elif key in out:
+                del out[key]
+
+
 class UniPoly:
     """Univariate polynomial over F_q, dense little-endian coefficients."""
 
@@ -328,6 +349,18 @@ class BiPoly:
                 elif key in out:
                     del out[key]
         return BiPoly._raw(f, out)
+
+    @classmethod
+    def sum_of_products(cls, field, pairs):
+        """sum(a * b for a, b in pairs), accumulated in one term map."""
+        add, mul = field.add_table, field.mul_table
+        out = {}
+        for a, b in pairs:
+            _same_field(a, b)
+            _mul_into(out, a.terms, b.terms, add, mul)
+        # the copy drops the slots of terms that cancelled on the way, which
+        # would otherwise stay allocated as long as the result lives
+        return cls._raw(field, dict(out))
 
     def scale(self, c):
         if c == 0:

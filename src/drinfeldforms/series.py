@@ -14,12 +14,12 @@ what the inputs justify, so recomputing at higher precision and
 truncating always reproduces lower-precision results bit for bit.
 
 The module also provides the twisted-polynomial coefficients of the rank
-one module phi with phi(theta) = theta + tau, and the exact expansion of
-u_c = 1 / phi_c(1/u) for monic c.
+one module phi with phi(theta) = theta + tau, and the exact expansions of
+u_c = 1 / phi_c(1/u) for monic c and of its powers u_c**l, 1 <= l <= q.
 """
 
 from .errors import PrecisionError
-from .polynomials import BiPoly, UniPoly, _same_field
+from .polynomials import BiPoly, UniPoly, _mul_into, _same_field
 
 
 class USeries:
@@ -145,24 +145,13 @@ class USeries:
         add, mul = f.add_table, f.mul_table
         out = {}
         for n1, c1 in self.coeffs.items():
-            items1 = list(c1.terms.items())
             for n2, c2 in other.coeffs.items():
                 n = n1 + n2
-                if n >= prec:
-                    continue
-                acc = out.get(n)
-                if acc is None:
-                    acc = out[n] = {}
-                get = acc.get
-                for (i1, j1), v1 in items1:
-                    row = mul[v1]
-                    for (i2, j2), v2 in c2.terms.items():
-                        key = (i1 + i2, j1 + j2)
-                        s = add[get(key, 0)][row[v2]]
-                        if s:
-                            acc[key] = s
-                        elif key in acc:
-                            del acc[key]
+                if n < prec:
+                    acc = out.get(n)
+                    if acc is None:
+                        acc = out[n] = {}
+                    _mul_into(acc, c1.terms, c2.terms, add, mul)
         coeffs = {n: BiPoly._raw(f, d) for n, d in out.items() if d}
         return USeries._raw(f, prec, coeffs)
 
@@ -208,16 +197,9 @@ class USeries:
         b = {0: BiPoly.scalar(f, inv0)}
         neg_inv0 = f.neg(inv0)
         for n in range(1, self.prec):
-            acc = None
-            for k, ak in a_items:
-                if k > n:
-                    break
-                bk = b.get(n - k)
-                if bk is None:
-                    continue
-                term = ak * bk
-                acc = term if acc is None else acc + term
-            if acc is not None and not acc.is_zero:
+            acc = BiPoly.sum_of_products(
+                f, [(ak, b[n - k]) for k, ak in a_items if k <= n and n - k in b])
+            if not acc.is_zero:
                 b[n] = acc.scale(neg_inv0)
         return USeries._raw(f, self.prec, {n: c for n, c in b.items() if not c.is_zero})
 
@@ -344,23 +326,93 @@ def carlitz_phi(a):
     return CarlitzOperator(f, out)
 
 
-def u_c_expansion(c, prec):
-    """Expansion of u_c = 1 / phi_c(1/u) for monic c, modulo u**prec.
+def _reversed_phi(c):
+    """(q**d, terms) for monic c of degree d, where terms lists the pairs
+    (q**d - q**i, [c, i]) with i < d and [c, i] nonzero, so that
 
-    With d = deg c this is u**(q**d) * inv(sum_i [c, i] u**(q**d - q**i));
-    the leading term is u**(q**d) and all coefficients stay in F_q[theta].
+        P_c(u) = u**(q**d) phi_c(1/u) = 1 + sum over terms of [c, i] u**(q**d - q**i).
+
+    The constant term of P_c is [c, d] = 1, and P_c has at most d + 1 terms.
     """
     if not c.is_monic:
         raise ValueError("u_c requires a monic polynomial")
+    q, d = c.field.q, c.degree
+    op = carlitz_phi(c)
+    return q ** d, [(q ** d - q ** i, op.coeffs[i].to_bipoly())
+                    for i in range(d) if not op.coeffs[i].is_zero]
+
+
+def _times_u_qd_over_pc(y, qd, terms):
+    """y * u**(q**d) / P_c, kept at the precision of y.
+
+    One triangular division: P_c has constant term 1, so the quotient z
+    satisfies z_n = y_(n - q**d) - sum [c, i] z_(n - q**d + q**i)."""
+    field = y.field
+    one = BiPoly.one(field)
+    neg_terms = [(s, -a) for s, a in terms]
+    z = {}
+    for n in range(y.val() + qd, y.prec):
+        pairs = [(a, z[n - s]) for s, a in neg_terms if n - s in z]
+        yn = y.coeffs.get(n - qd)
+        if yn is not None:
+            pairs.append((one, yn))
+        zn = BiPoly.sum_of_products(field, pairs)
+        if not zn.is_zero:
+            z[n] = zn
+    return USeries._raw(field, y.prec, z)
+
+
+def _times_pc_over_u_qd(y, qd, terms):
+    """y * P_c / u**(q**d) for y divisible by u**(q**d); precision drops by q**d.
+
+    Coefficientwise z_m = y_(m + q**d) + sum [c, i] y_(m + q**i)."""
+    field = y.field
+    full = [(0, BiPoly.one(field))] + terms
+    z = {}
+    for m in range(y.val() - qd, y.prec - qd):
+        pairs = [(a, y.coeffs[m + qd - s]) for s, a in full if m + qd - s in y.coeffs]
+        zm = BiPoly.sum_of_products(field, pairs)
+        if not zm.is_zero:
+            z[m] = zm
+    return USeries._raw(field, y.prec - qd, z)
+
+
+def u_c_expansion(c, prec):
+    """Expansion of u_c = 1 / phi_c(1/u) for monic c, modulo u**prec.
+
+    With d = deg c this is u**(q**d) / P_c, one triangular division by
+    the (d + 1)-term polynomial P_c; the leading term is u**(q**d) and all
+    coefficients stay in F_q[theta].
+    """
     if prec <= 0:
         raise PrecisionError("u_c requires positive precision")
-    field = c.field
-    d = c.degree
-    qd = field.q ** d
-    if qd >= prec:
+    qd, terms = _reversed_phi(c)
+    return _times_u_qd_over_pc(USeries.one(c.field, prec), qd, terms)
+
+
+def u_c_power(uc, c, l):
+    """u_c**l for 1 <= l <= q, at the precision of uc = u_c_expansion(c, prec).
+
+    Walks up from u_c, u_c**(j+1) = u_c**j u**(q**d) / P_c, or down from the
+    free Frobenius image u_c**q, u_c**(j-1) = u_c**j P_c / u**(q**d),
+    whichever takes fewer steps: min(l - 1, q - l).  Each step costs d + 1
+    coefficient products per output coefficient, where a dense series
+    product costs one per pair of coefficients.
+    """
+    field, prec, q = uc.field, uc.prec, uc.field.q
+    if not 1 <= l <= q:
+        raise ValueError(f"u_c_power needs 1 <= l <= q, got {l}")
+    qd, terms = _reversed_phi(c)
+    if l * qd >= prec:
         return USeries.zero(field, prec)
-    op = carlitz_phi(c)
-    inner = USeries(field, prec - qd,
-                    {qd - field.q ** i: op.coeffs[i].to_bipoly()
-                     for i in range(d + 1)})
-    return inner.inv().shift(qd)
+    if l - 1 <= q - l:
+        y = uc
+        for _ in range(l - 1):
+            y = _times_u_qd_over_pc(y, qd, terms)
+        return y
+    # each down step loses q**d of precision, and u_c**q is known modulo
+    # u**(q * prec), which covers the q - l steps since l * q**d < prec
+    y = uc.frobenius(1).truncate(prec + (q - l) * qd)
+    for _ in range(q - l):
+        y = _times_pc_over_u_qd(y, qd, terms)
+    return y

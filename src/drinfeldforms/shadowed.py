@@ -13,7 +13,7 @@ Evaluating one product per tile pattern,
 
 gives a non-recursive construction whose negative agrees with d2 modulo
 u**(q**(k-1) (q-1)), which check_d2_approx certifies against the
-fixed-point construction.
+recurrence solution FormCatalog.d2.
 """
 
 from .errors import PrecisionError

@@ -1,4 +1,6 @@
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from drinfeldforms.errors import PrecisionError
 from drinfeldforms.fields import finite_field
@@ -10,6 +12,7 @@ from drinfeldforms.series import USeries, u_c_expansion
 F2 = finite_field(2)
 F3 = finite_field(3)
 F4 = finite_field(2, 2)
+F5 = finite_field(5)
 
 CATALOGS = {}
 
@@ -101,6 +104,63 @@ def test_d2_specialized_at_t_theta(field):
 
 def test_d2_precision_consistency():
     assert FormCatalog(F3, 40).d2.truncate(20) == FormCatalog(F3, 20).d2
+
+
+D2_GRID = [(F2, 64), (F3, 81), (F4, 64), (F5, 50)]
+
+
+@pytest.mark.parametrize("field, prec", D2_GRID, ids=lambda v: str(getattr(v, "q", v)))
+def test_d2_solves_its_recurrence_exactly(field, prec):
+    cat = catalog(field, prec)
+    d2 = cat.d2
+    rhs = (cat.g * d2.tau(1).truncate(prec)
+           + (cat.delta * d2.tau(2).truncate(prec)).scale(t_minus_theta_pow(field, field.q)))
+    assert rhs.prec == prec
+    assert rhs == d2
+
+
+@pytest.mark.parametrize("field, prec", D2_GRID, ids=lambda v: str(getattr(v, "q", v)))
+def test_d2_truncates_back_from_double_precision(field, prec):
+    assert FormCatalog(field, 2 * prec).d2.truncate(prec) == catalog(field, prec).d2
+
+
+def d2_fixed_point_reference(cat):
+    """d2 by the former construction: iterate X -> g X^(1) + delta (t - theta**q) X^(2)
+    from X = 1 until it stabilises.  Each pass multiplies the valuation of
+    the correction by at least q, so prec passes are far more than enough."""
+    field, prec = cat.field, cat.prec
+    scaled_delta = cat.delta.scale(t_minus_theta_pow(field, field.q))
+    x = USeries.one(field, prec)
+    for _ in range(prec):
+        nxt = (cat.g * x.tau(1).truncate(prec)
+               + scaled_delta * x.tau(2).truncate(prec)).truncate(prec)
+        if nxt == x:
+            return x
+        x = nxt
+    pytest.fail("fixed-point iteration did not stabilise")
+
+
+@pytest.mark.parametrize("field, prec", [(F2, 32), (F3, 27), (F4, 32), (F5, 25)],
+                         ids=lambda v: str(getattr(v, "q", v)))
+def test_d2_matches_fixed_point_iteration(field, prec):
+    cat = FormCatalog(field, prec)
+    assert cat.d2 == d2_fixed_point_reference(cat)
+
+
+# -- powers of u_c --------------------------------------------------------------------------
+
+
+@pytest.mark.parametrize("p, e", [(2, 1), (3, 1), (2, 2), (5, 1), (7, 1)])
+@settings(derandomize=True, database=None, deadline=None, max_examples=8)
+@given(prec=st.integers(min_value=1, max_value=48))
+def test_u_c_power_walk_matches_dense_power(p, e, prec):
+    # q = 7 takes both walks: up for l <= 4, down from u_c**7 for l >= 5
+    field = finite_field(p, e)
+    cat = FormCatalog(field, prec)
+    for d in cat.summation_degrees(1):
+        for c in cat.monic(d):
+            for l in range(1, field.q + 2):
+                assert cat.u_c(c, l) == (cat.u_c(c) ** l).truncate(prec)
 
 
 # -- ee -----------------------------------------------------------------------------------

@@ -5,7 +5,8 @@ import pytest
 from drinfeldforms.errors import PrecisionError
 from drinfeldforms.fields import finite_field
 from drinfeldforms.polynomials import BiPoly, UniPoly, enumerate_monic
-from drinfeldforms.series import CarlitzOperator, USeries, carlitz_phi, u_c_expansion
+from drinfeldforms.series import (CarlitzOperator, USeries, carlitz_phi, u_c_expansion,
+                                  u_c_power)
 
 F2 = finite_field(2)
 F3 = finite_field(3)
@@ -266,3 +267,12 @@ def test_u_c_requires_monic():
     f = UniPoly(F3, (0, 2))  # 2*theta
     with pytest.raises(ValueError):
         u_c_expansion(f, 10)
+
+
+def test_u_c_power_rejects_exponents_outside_one_to_q():
+    theta = UniPoly.gen(F3)
+    uc = u_c_expansion(theta, 20)
+    assert u_c_power(uc, theta, 3) == uc.frobenius(1).truncate(20)
+    for l in (0, 4):
+        with pytest.raises(ValueError):
+            u_c_power(uc, theta, l)
