@@ -5,9 +5,30 @@ vectors: the int sum(c_i * p**i) stands for the residue class
 sum(c_i * x**i) modulo the defining polynomial.  With this encoding 0
 and 1 are always the additive and multiplicative identities, integer
 scalars k embed as k % p, and the natural int order is a canonical
-enumeration of the field.  All arithmetic is table-driven (Zech
-logarithms fill the multiplication table), so the polynomial and series
-layers above can run on flat dicts of ints.
+enumeration of the field.  Element arithmetic is table-driven (Zech
+logarithms fill the multiplication table).
+
+The polynomial layer above works on whole vectors of elements at once,
+packed into Python ints by the field's _SlotPacking (FiniteField.packing):
+
+  - slot k of a plane is bits [k*W, (k+1)*W); the slot width W is one of
+    8, 16, 32, 64 and depends only on p and e (see _SlotPacking);
+  - an element is split into its e base-p digits, and digit k of every
+    slot lives in plane k, so a vector is a tuple of e ints;
+  - a stored plane is reduced: every slot holds a digit in range(p).
+
+Adding or multiplying packed ints adds or convolves the slots all at once,
+as long as no slot carries into the next.  The no-carry invariant: a raw
+(unreduced) accumulation keeps an upper bound on its slot values, and is
+reduced before that bound would pass _SlotPacking.limit.  One product of
+two reduced vectors raises the bound by at most weight * m, where
+weight = (p-1)**2 and m is the smaller of the operands' counts of nonzero
+digits over all planes (a popcount bounds it): a slot of output plane
+k + l gets one digit product per nonzero digit in plane k of either
+operand, and distinct k pair with distinct l.
+Folding the planes of degree >= e by the modulus then raises the bound by
+the factor 1 + (e-1)(p-1), and limit times that factor is still a value
+that reduction mod p takes in one slot.
 
 The defining polynomial defaults to the first monic irreducible of
 degree e in increasing integer encoding; construction always verifies
@@ -15,6 +36,7 @@ irreducibility (no roots in F_p, plus trial division by every monic
 polynomial of degree <= e // 2).
 """
 
+import sys
 from functools import lru_cache
 from itertools import product
 
@@ -121,6 +143,7 @@ class FiniteField:
         self.q = p ** e
         self.modulus = modulus
         self._tables = None
+        self._packing = None
 
     # -- table construction --------------------------------------------------
 
@@ -184,6 +207,13 @@ class FiniteField:
         if self._tables is None:
             self._build_tables()
         return self._tables
+
+    @property
+    def packing(self):
+        """The slot packing of vectors over this field, built on first use."""
+        if self._packing is None:
+            self._packing = _SlotPacking(self)
+        return self._packing
 
     @property
     def add_table(self):
@@ -261,6 +291,121 @@ class FiniteField:
         if self.e == 1:
             return f"F_{self.p}"
         return f"F_{self.p}^{self.e}"
+
+
+# A slot must take the products of this many pairs of nonzero digits
+# between two reductions; the slot width is the narrowest that allows it.
+_MIN_PAIRS = 64
+_SLOT_BITS = (8, 16, 32, 64)
+
+
+class _SlotPacking:
+    """Packed vectors over one field: slot width, no-carry bounds, reduction.
+
+    Reduction mod p works on all slots at once.  For p == 2 it keeps the low
+    bit of each slot (one AND with a mask).  For odd p it splits the slots
+    into even and odd ones, so that each sits in a 2W-bit lane, and takes
+    v - p * floor(v * m / 2**s) per lane, where m = ceil(2**s / p) and
+    s = W - 1 + p.bit_length(): exact for every v < 2**(W-1), and v * m
+    stays inside its lane.  The masks are built on demand and grow by
+    doubling.
+    """
+
+    def __init__(self, field):
+        p, e = field.p, field.e
+        self.p, self.e = p, e
+        self.powers = tuple(p ** k for k in range(e))
+        # x**m mod the modulus for e <= m <= 2e - 2, as digit vectors
+        fold, r = [], [0] * (e - 1) + [1]
+        for _ in range(e - 1):
+            top = r[-1]
+            r = [(a - top * c) % p for a, c in zip([0] + r[:-1], field.modulus)]
+            fold.append(tuple(r))
+        self.fold = tuple(fold)
+        self.weight = (p - 1) ** 2
+        growth = 1 + (e - 1) * (p - 1)
+        for bits in _SLOT_BITS:
+            cap = (1 << bits) - 1 if p == 2 else (1 << (bits - 1)) - 1
+            if (self.weight * _MIN_PAIRS + p - 1) * growth <= cap:
+                break
+        else:
+            raise ValueError(f"F_{p}^{e} is too large for the packed coefficient kernel")
+        self.bits = bits
+        self.nbytes = bits // 8
+        self.limit = cap // growth
+        # imported on first use rather than with the package, whose import
+        # and field set-up build nothing for the packed kernel
+        from array import array
+        self._array = array
+        self.typecode = next(c for c in "BHILQ" if array(c).itemsize == self.nbytes)
+        self._shift = bits - 1 + p.bit_length()
+        self._magic = -(-(1 << self._shift) // p)
+        self._mask_bits = 0
+        self._low = self._even = self._quot = 0
+
+    def _grow_masks(self, nbits):
+        n = max(nbits, 2 * self._mask_bits, 1024) // (2 * self.bits) + 1
+        zero = bytes(self.nbytes)
+        if self.p == 2:
+            one = (1).to_bytes(self.nbytes, "little")
+            self._low = int.from_bytes((one + one) * n, "little")
+        else:
+            full = b"\xff" * self.nbytes
+            # the quotient bits of a lane, below what the next lane shifts in
+            quot = ((1 << (2 * self.bits - self._shift)) - 1).to_bytes(self.nbytes, "little")
+            self._even = int.from_bytes((full + zero) * n, "little")
+            self._quot = int.from_bytes((quot + zero) * n, "little")
+        self._mask_bits = 2 * self.bits * n
+
+    def mod(self, x):
+        """x with each slot reduced mod p; slots of x must stay below the cap."""
+        if x.bit_length() > self._mask_bits:
+            self._grow_masks(x.bit_length())
+        if self.p == 2:
+            return x & self._low
+        w, p, m, s = self.bits, self.p, self._magic, self._shift
+        even, quot = self._even, self._quot
+        lo = x & even
+        hi = (x >> w) & even
+        lo -= ((lo * m >> s) & quot) * p
+        hi -= ((hi * m >> s) & quot) * p
+        return lo | (hi << w)
+
+    def reduce(self, raw):
+        """Reduced planes of a raw accumulation of 2e - 1 planes whose slots
+        are bounded by limit: fold the planes of degree >= e by the modulus,
+        then reduce mod p."""
+        low = list(raw[:self.e])
+        for row, x in zip(self.fold, raw[self.e:]):
+            if x:
+                for i, c in enumerate(row):
+                    if c:
+                        low[i] += c * x
+        return tuple(map(self.mod, low))
+
+    def pack(self, values):
+        """Planes holding the elements values[k] in slot k."""
+        planes = []
+        for pw in self.powers:
+            digits = self._array(self.typecode, [v // pw % self.p for v in values])
+            if sys.byteorder != "little":
+                digits.byteswap()
+            planes.append(int.from_bytes(digits.tobytes(), "little"))
+        return tuple(planes)
+
+    def unpack(self, planes, slots):
+        """The elements in slots 0 .. slots - 1 of the planes."""
+        values = None
+        for pw, x in zip(self.powers, planes):
+            digits = self._array(self.typecode)
+            digits.frombytes(x.to_bytes(slots * self.nbytes, "little"))
+            if sys.byteorder != "little":
+                digits.byteswap()
+            if values is None:
+                values = digits
+            else:
+                values = [v + d * pw for v, d in zip(values, digits)]
+        return values
 
 
 @lru_cache(maxsize=None)

@@ -94,12 +94,17 @@ class FormCatalog:
         return cached
 
     def a_expansion(self, power, coefficient_of):
-        """sum over monic c of coefficient_of(c) * u_c**power, modulo u**prec."""
-        total = USeries.zero(self.field, self.prec)
+        """sum over monic c of coefficient_of(c) * u_c**power, modulo u**prec.
+
+        Each u-coefficient is one BiPoly.sum_of_products over the monic c."""
+        pairs = {}
         for d in self.summation_degrees(power):
             for c in self.monic(d):
-                total = total + self.u_c(c, power).scale(coefficient_of(c))
-        return total
+                coef = coefficient_of(c)
+                for n, a in self.u_c(c, power).coeffs.items():
+                    pairs.setdefault(n, []).append((coef, a))
+        return USeries(self.field, self.prec,
+                       {n: BiPoly.sum_of_products(self.field, ps) for n, ps in pairs.items()})
 
     # -- the catalog -------------------------------------------------------------
 

@@ -2,9 +2,16 @@
 
 UniPoly is the dense univariate ring playing the role of the base ring
 A = F_q[theta] (monic elements are the summation domain of every form);
-BiPoly is the sparse bivariate coefficient ring F_q[theta, t] used by all
+BiPoly is the bivariate coefficient ring F_q[theta, t] used by all
 u-expansions.  Both are immutable by convention: every operation returns
 a fresh object.
+
+BiPoly is packed (Kronecker substitution): theta**i t**j is slot
+i + j * stride of one int per base-p digit plane, with the slot width,
+the no-carry invariant and the reduction mod p of fields._SlotPacking.
+A product is then one big-int multiply per pair of planes, and
+_product_sum, the one coefficient kernel, adds the raw products of many
+pairs before it reduces once.
 
 A raising-to-the-q trick is used throughout: in characteristic p with
 q = p**e a power f**(q**k) is plain exponent scaling (F_q-scalars are
@@ -18,27 +25,6 @@ from math import comb
 def _same_field(a, b):
     if a.field is not b.field and a.field != b.field:
         raise ValueError("operands live over different fields")
-
-
-def _mul_into(out, terms1, terms2, add, mul):
-    """Add the product of two BiPoly term maps into the term map out.
-
-    The kernel of USeries products and BiPoly.sum_of_products.  add and
-    mul are the field's tables; out keeps no zeros.  BiPoly.__mul__ keeps
-    its own copy of the loop, because the extra call costs about 7% on
-    one- and two-term products (timeit over F_5, Python 3.11).
-    """
-    get = out.get
-    items2 = terms2.items()
-    for (i1, j1), v1 in terms1.items():
-        row = mul[v1]
-        for (i2, j2), v2 in items2:
-            key = (i1 + i2, j1 + j2)
-            s = add[get(key, 0)][row[v2]]
-            if s:
-                out[key] = s
-            elif key in out:
-                del out[key]
 
 
 class UniPoly:
@@ -206,10 +192,10 @@ class UniPoly:
 
     def chi_t(self):
         """Evaluation character theta -> t, landing in F_q[theta, t]."""
-        return BiPoly(self.field, {(0, i): c for i, c in enumerate(self.coeffs) if c})
+        return BiPoly._from_values(self.field, self.coeffs, 1)
 
     def to_bipoly(self):
-        return BiPoly(self.field, {(i, 0): c for i, c in enumerate(self.coeffs) if c})
+        return BiPoly._from_values(self.field, self.coeffs, max(len(self.coeffs), 1))
 
     def __repr__(self):
         if not self.coeffs:
@@ -248,47 +234,154 @@ def monic_below(field, n):
     return out
 
 
+def _restride(x, rows, old, new, nbytes):
+    """The plane x, rows of `old` slots, laid out again with rows of `new`
+    slots; every row must fit in min(old, new) slots."""
+    ob, nb = old * nbytes, new * nbytes
+    keep = min(ob, nb)
+    buf = x.to_bytes(rows * ob, "little")
+    return int.from_bytes(bytes(nb - keep).join([buf[k:k + keep] for k in range(0, rows * ob, ob)]),
+                          "little")
+
+
+def _spread(x, s, nbytes):
+    """The plane x with slot k moved to slot k * s."""
+    if s == 1 or not x:
+        return x
+    slots = -(-x.bit_length() // (8 * nbytes))
+    buf = x.to_bytes(slots * nbytes, "little")
+    out = bytearray(((slots - 1) * s + 1) * nbytes)
+    step = s * nbytes
+    for b in range(nbytes):
+        out[b::step] = buf[b::nbytes]
+    return int.from_bytes(out, "little")
+
+
+def _product_sum(field, pairs):
+    """sum(a * b for a, b in pairs) as one raw accumulation, reduced at the end.
+
+    The kernel of every BiPoly and USeries product.  All products are laid
+    out at one stride, wide enough for the largest theta-degree sum, and
+    accumulate plane by plane.  The accumulation tracks a bound on its
+    slots (see fields._SlotPacking) and reduces early when the next product
+    would pass the limit; a product too large to fit even after that is
+    split into chunks of the first operand that do fit.
+    """
+    pk = field.packing
+    p, weight, limit = pk.p, pk.weight, pk.limit
+    shaped = []
+    stride = 1
+    for a, b in pairs:
+        _same_field(a, b)
+        if a._rows and b._rows:
+            shaped.append((a, b))
+            stride = max(stride, a._width + b._width - 1)
+    acc = [0] * (2 * pk.e - 1)
+    bound = 0
+    room = limit - (p - 1)
+    for a, b in shaped:
+        xs = a._planes_at(stride)
+        ys = b._planes_at(stride)
+        pop_y = sum(map(int.bit_count, ys))
+        step = weight * min(sum(map(int.bit_count, xs)), pop_y)
+        pieces = ((xs, 0),)
+        if step > room:
+            slots = room // weight
+            pieces = _chunks(xs, slots, pk.bits)
+            step = weight * min(slots, pop_y)
+        for xs, shift in pieces:
+            if bound + step > limit:
+                acc = list(pk.reduce(acc)) + [0] * (pk.e - 1)
+                bound = p - 1
+            for k, x in enumerate(xs):
+                if x:
+                    for l, y in enumerate(ys):
+                        if y:
+                            acc[k + l] += (x * y) << shift
+            bound += step
+    return BiPoly._make(field, pk.reduce(acc), stride)
+
+
+def _chunks(xs, slots, bits):
+    """Split planes into pieces of `slots` slots: [(planes, shift in bits)]."""
+    size = slots * bits
+    mask = (1 << size) - 1
+    top = max(x.bit_length() for x in xs)
+    return [([(x >> off) & mask for x in xs], off) for off in range(0, top, size)]
+
+
 class BiPoly:
-    """Sparse bivariate polynomial over F_q, monomial map (i, j) -> coefficient.
+    """Bivariate polynomial over F_q, packed into the field's slot planes.
 
     The two variables are theta (first exponent) and t (second); nothing
     in the arithmetic depends on the naming, so the same type doubles as
-    a generic F_q[X, Y].
+    a generic F_q[X, Y].  The term theta**i t**j sits in slot
+    i + j * stride of the planes (one per base-p digit, see
+    fields._SlotPacking): theta-exponents take consecutive slots and t-rows
+    sit `stride` slots apart.  The stride is stored on the object; it is at
+    least the theta-length of every row, and need not be the smallest such.
+    Stored planes are always reduced.
+
+    Products are one big-int multiply per pair of planes; tau and Frobenius
+    spread the slots.  `terms` gives the {(i, j): coefficient} view,
+    built on each access.
     """
 
-    __slots__ = ("field", "terms")
+    __slots__ = ("field", "_planes", "_stride", "_rows", "_width")
 
     def __init__(self, field, terms=None):
+        terms = {k: v for k, v in (terms or {}).items() if v}
+        stride = max((i for i, _ in terms), default=0) + 1
+        values = [0] * (stride * (max((j for _, j in terms), default=-1) + 1))
+        for (i, j), v in terms.items():
+            values[i + j * stride] = v
+        self._set(field, field.packing.pack(values), stride)
+
+    def _set(self, field, planes, stride):
         self.field = field
-        self.terms = {k: v for k, v in (terms or {}).items() if v}
+        self._planes = planes
+        self._stride = stride
+        # rows: the t-degree + 1 (0 for zero); width: a bound on the
+        # theta-length of every row, exact for a single row
+        bits = field.packing.bits
+        n = max(map(int.bit_length, planes))
+        if n <= stride * bits:
+            self._rows = 1 if n else 0
+            self._width = -(-n // bits)
+        else:
+            self._rows = (n - 1) // (stride * bits) + 1
+            self._width = stride
 
     @classmethod
-    def _raw(cls, field, terms):
-        # internal: trusts that terms is a fresh dict without zero values
+    def _make(cls, field, planes, stride):
         obj = object.__new__(cls)
-        obj.field = field
-        obj.terms = terms
+        obj._set(field, planes, stride)
         return obj
 
     @classmethod
+    def _from_values(cls, field, values, stride):
+        """The polynomial with values[k] in slot k, at the given stride."""
+        return cls._make(field, field.packing.pack(values), stride)
+
+    @classmethod
     def zero(cls, field):
-        return cls._raw(field, {})
+        return cls._from_values(field, (), 1)
 
     @classmethod
     def one(cls, field):
-        return cls._raw(field, {(0, 0): 1})
+        return cls._from_values(field, (1,), 1)
 
     @classmethod
     def scalar(cls, field, c):
-        return cls._raw(field, {(0, 0): c} if c else {})
+        return cls._from_values(field, (c,), 1)
 
     @classmethod
     def theta_pow(cls, field, i, c=1):
-        return cls._raw(field, {(i, 0): c} if c else {})
+        return cls._from_values(field, [0] * i + [c], i + 1)
 
     @classmethod
     def t_pow(cls, field, j, c=1):
-        return cls._raw(field, {(0, j): c} if c else {})
+        return cls._from_values(field, [0] * j + [c], 1)
 
     @classmethod
     def from_pairs(cls, field, pairs):
@@ -296,77 +389,90 @@ class BiPoly:
         add = field.add_table
         terms = {}
         for key, v in pairs:
-            s = add[terms.get(key, 0)][v]
-            if s:
-                terms[key] = s
-            elif key in terms:
-                del terms[key]
-        return cls._raw(field, terms)
+            terms[key] = add[terms.get(key, 0)][v]
+        return cls(field, terms)
+
+    # -- layout ---------------------------------------------------------------
+
+    def _theta_length(self):
+        """Exact theta-degree + 1 (0 for the zero polynomial)."""
+        if self._rows < 2:
+            return self._width
+        pk = self.field.packing
+        ob = self._stride * pk.nbytes
+        used = 0
+        for x in self._planes:
+            buf = x.to_bytes(self._rows * ob, "little")
+            for k in range(0, len(buf), ob):
+                used = max(used, int.from_bytes(buf[k:k + ob], "little").bit_length())
+        return -(-used // pk.bits)
+
+    def _aligned(self, other):
+        """(planes of self, planes of other, stride) at one common stride."""
+        _same_field(self, other)
+        stride = max(self._width, other._width, 1)
+        return self._planes_at(stride), other._planes_at(stride), stride
+
+    def _planes_at(self, stride):
+        """The planes laid out at another stride, at least the width."""
+        if self._rows < 2 or self._stride == stride:
+            return self._planes
+        nbytes = self.field.packing.nbytes
+        return tuple(_restride(x, self._rows, self._stride, stride, nbytes) for x in self._planes)
+
+    @property
+    def terms(self):
+        """{(i, j): coefficient} of the nonzero terms, built on each access."""
+        s = self._stride
+        values = self.field.packing.unpack(self._planes, self._rows * s)
+        return {(k % s, k // s): v for k, v in enumerate(values) if v}
+
+    # -- ring operations ------------------------------------------------------------
 
     @property
     def is_zero(self):
-        return not self.terms
+        return not self._rows
 
     def __eq__(self, other):
-        return (isinstance(other, BiPoly) and self.field == other.field
-                and self.terms == other.terms)
+        if not isinstance(other, BiPoly) or self._rows != other._rows:
+            return False
+        if self.field is not other.field and self.field != other.field:
+            return False
+        if self._rows < 2 or self._stride == other._stride:
+            return self._planes == other._planes
+        xs, ys, _ = self._aligned(other)
+        return xs == ys
 
     def __hash__(self):
-        return hash((self.field, frozenset(self.terms.items())))
+        return hash((self.field, self._planes_at(self._theta_length())))
+
+    def _add_multiple(self, other, c):
+        """self + c * other for an integer 1 <= c < p."""
+        xs, ys, stride = self._aligned(other)
+        mod = self.field.packing.mod
+        return BiPoly._make(self.field, tuple(mod(x + c * y) for x, y in zip(xs, ys)), stride)
 
     def __add__(self, other):
-        _same_field(self, other)
-        add = self.field.add_table
-        out = dict(self.terms)
-        for key, v in other.terms.items():
-            s = add[out.get(key, 0)][v]
-            if s:
-                out[key] = s
-            elif key in out:
-                del out[key]
-        return BiPoly._raw(self.field, out)
-
-    def __neg__(self):
-        neg = self.field.neg_table
-        return BiPoly._raw(self.field, {k: neg[v] for k, v in self.terms.items()})
+        return self._add_multiple(other, 1)
 
     def __sub__(self, other):
-        return self + (-other)
+        return self._add_multiple(other, self.field.p - 1)
+
+    def __neg__(self):
+        pk = self.field.packing
+        return BiPoly._make(self.field, tuple(pk.mod((pk.p - 1) * x) for x in self._planes),
+                            self._stride)
 
     def __mul__(self, other):
-        _same_field(self, other)
-        f = self.field
-        add, mul = f.add_table, f.mul_table
-        out = {}
-        get = out.get
-        for (i1, j1), v1 in self.terms.items():
-            row = mul[v1]
-            for (i2, j2), v2 in other.terms.items():
-                key = (i1 + i2, j1 + j2)
-                s = add[get(key, 0)][row[v2]]
-                if s:
-                    out[key] = s
-                elif key in out:
-                    del out[key]
-        return BiPoly._raw(f, out)
+        return _product_sum(self.field, ((self, other),))
 
     @classmethod
     def sum_of_products(cls, field, pairs):
-        """sum(a * b for a, b in pairs), accumulated in one term map."""
-        add, mul = field.add_table, field.mul_table
-        out = {}
-        for a, b in pairs:
-            _same_field(a, b)
-            _mul_into(out, a.terms, b.terms, add, mul)
-        # the copy drops the slots of terms that cancelled on the way, which
-        # would otherwise stay allocated as long as the result lives
-        return cls._raw(field, dict(out))
+        """sum(a * b for a, b in pairs), reduced once at the end."""
+        return _product_sum(field, pairs)
 
     def scale(self, c):
-        if c == 0:
-            return BiPoly.zero(self.field)
-        row = self.field.mul_table[c]
-        return BiPoly._raw(self.field, {k: row[v] for k, v in self.terms.items()})
+        return _product_sum(self.field, ((self, BiPoly.scalar(self.field, c)),))
 
     def _pow_small(self, k):
         result = BiPoly.one(self.field)
@@ -394,27 +500,40 @@ class BiPoly:
 
     def frobenius(self, k=1):
         """self**(q**k): both exponents scale, F_q-scalars are fixed."""
+        if k < 0:
+            raise ValueError("frobenius exponent must be >= 0")
+        if k == 0:
+            return self
         s = self.field.q ** k
-        return BiPoly._raw(self.field, {(i * s, j * s): v for (i, j), v in self.terms.items()})
+        twisted = self._twisted(s)
+        # row j -> row j * s: lay the rows s strides apart, keep the stride
+        return BiPoly._make(self.field, twisted._planes_at(twisted._stride * s), twisted._stride)
 
     def tau_twist(self, k=1):
         """Coefficient action of tau**k: theta -> theta**(q**k), t fixed."""
-        s = self.field.q ** k
-        return BiPoly._raw(self.field, {(i * s, j): v for (i, j), v in self.terms.items()})
+        if k < 0:
+            raise ValueError("tau exponent must be >= 0")
+        if k == 0:
+            return self
+        return self._twisted(self.field.q ** k)
+
+    def _twisted(self, s):
+        """theta**i t**j -> theta**(i * s) t**j: slot k goes to slot k * s,
+        and the stride grows by the same factor."""
+        nbytes = self.field.packing.nbytes
+        return BiPoly._make(self.field, tuple(_spread(x, s, nbytes) for x in self._planes),
+                            self._stride * s)
 
     def subs_t_theta(self):
         """Substitute t -> theta (collapse the second variable into the first)."""
         return BiPoly.from_pairs(self.field,
                                  (((i + j, 0), v) for (i, j), v in self.terms.items()))
 
-    def swap_vars(self):
-        return BiPoly._raw(self.field, {(j, i): v for (i, j), v in self.terms.items()})
-
     def theta_degree(self):
-        return max((i for i, _ in self.terms), default=None)
+        return self._theta_length() - 1 if self._rows else None
 
     def t_degree(self):
-        return max((j for _, j in self.terms), default=None)
+        return self._rows - 1 if self._rows else None
 
     def t_slices(self):
         """Split into {j: UniPoly in theta} by powers of t."""
@@ -433,25 +552,14 @@ class BiPoly:
         return sorted(self.terms.items())
 
     def __repr__(self):
-        if not self.terms:
+        terms = self.sorted_terms()
+        if not terms:
             return "BiPoly(0)"
         parts = []
-        for (i, j), v in self.sorted_terms():
+        for (i, j), v in terms:
             mono = "".join([f"x^{i}" if i else "", f"y^{j}" if j else ""])
             parts.append(f"{v}*{mono}" if mono else f"{v}")
         return "BiPoly(" + " + ".join(parts) + ")"
-
-
-def chi_t(a):
-    """chi_t(a) = a(t): the ring homomorphism F_q[theta] -> F_q[t]."""
-    return a.chi_t()
-
-
-def tau_coeff(c, k=1):
-    """tau**k on a coefficient: theta**i t**j -> theta**(i q**k) t**j."""
-    if k < 0:
-        raise ValueError("tau exponent must be >= 0")
-    return c.tau_twist(k)
 
 
 def lucas_binom(n, i, p):

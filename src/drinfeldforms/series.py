@@ -19,7 +19,7 @@ u_c = 1 / phi_c(1/u) for monic c and of its powers u_c**l, 1 <= l <= q.
 """
 
 from .errors import PrecisionError
-from .polynomials import BiPoly, UniPoly, _mul_into, _same_field
+from .polynomials import BiPoly, UniPoly, _product_sum, _same_field
 
 
 class USeries:
@@ -94,8 +94,7 @@ class USeries:
                 and self.prec == other.prec and self.coeffs == other.coeffs)
 
     def __hash__(self):
-        return hash((self.field, self.prec, frozenset((n, frozenset(c.terms.items()))
-                                                      for n, c in self.coeffs.items())))
+        return hash((self.field, self.prec, frozenset(self.coeffs.items())))
 
     def first_difference(self, other):
         """Smallest exponent (below both precisions) where the two disagree, or None."""
@@ -142,17 +141,17 @@ class USeries:
         prec = min(self.prec + other.val(), other.prec + self.val())
         if prec <= 0:
             raise PrecisionError("product precision underflow")
-        add, mul = f.add_table, f.mul_table
-        out = {}
+        pairs = {}
         for n1, c1 in self.coeffs.items():
             for n2, c2 in other.coeffs.items():
                 n = n1 + n2
                 if n < prec:
-                    acc = out.get(n)
-                    if acc is None:
-                        acc = out[n] = {}
-                    _mul_into(acc, c1.terms, c2.terms, add, mul)
-        coeffs = {n: BiPoly._raw(f, d) for n, d in out.items() if d}
+                    pairs.setdefault(n, []).append((c1, c2))
+        coeffs = {}
+        for n, ps in pairs.items():
+            c = _product_sum(f, ps)
+            if not c.is_zero:
+                coeffs[n] = c
         return USeries._raw(f, prec, coeffs)
 
     def scale(self, poly):
@@ -190,7 +189,7 @@ class USeries:
         """Inverse of a series whose constant term is a nonzero F_q scalar."""
         f = self.field
         c0 = self.coeffs.get(0)
-        if c0 is None or set(c0.terms) != {(0, 0)}:
+        if c0 is None or c0.theta_degree() != 0 or c0.t_degree() != 0:
             raise ValueError("inverse requires a unit scalar constant term")
         inv0 = f.inv(c0.terms[(0, 0)])
         a_items = sorted((n, c) for n, c in self.coeffs.items() if n > 0)

@@ -198,7 +198,7 @@ def matrix_det(matrix):
                 continue
             sub = minor(cols[:idx] + cols[idx + 1:])
             term = entry * sub
-            acc = acc + (term if idx % 2 == 0 else -term)
+            acc = acc + term if idx % 2 == 0 else acc - term
         memo[cols] = acc
         return acc
 

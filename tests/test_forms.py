@@ -151,7 +151,7 @@ def test_d2_matches_fixed_point_iteration(field, prec):
 
 
 @pytest.mark.parametrize("p, e", [(2, 1), (3, 1), (2, 2), (5, 1), (7, 1)])
-@settings(derandomize=True, database=None, deadline=None, max_examples=8)
+@settings(max_examples=8)
 @given(prec=st.integers(min_value=1, max_value=48))
 def test_u_c_power_walk_matches_dense_power(p, e, prec):
     # q = 7 takes both walks: up for l <= 4, down from u_c**7 for l >= 5

@@ -3,9 +3,8 @@ import random
 import pytest
 
 from drinfeldforms.fields import finite_field
-from drinfeldforms.polynomials import (BiPoly, UniPoly, chi_t, enumerate_monic,
-                                       lucas_binom, monic_below, poly_gcd,
-                                       tau_coeff)
+from drinfeldforms.polynomials import (BiPoly, UniPoly, enumerate_monic,
+                                       lucas_binom, monic_below, poly_gcd)
 
 F2 = finite_field(2)
 F3 = finite_field(3)
@@ -57,8 +56,8 @@ def test_monic_below():
 
 def test_chi_t_examples():
     theta = UniPoly.gen(F2)
-    assert chi_t(theta * theta + theta) == BiPoly(F2, {(0, 2): 1, (0, 1): 1})
-    assert chi_t(UniPoly.one(F3)) == BiPoly.one(F3)
+    assert (theta * theta + theta).chi_t() == BiPoly(F2, {(0, 2): 1, (0, 1): 1})
+    assert UniPoly.one(F3).chi_t() == BiPoly.one(F3)
 
 
 def test_chi_t_is_ring_homomorphism_exhaustive():
@@ -67,8 +66,8 @@ def test_chi_t_is_ring_homomorphism_exhaustive():
         polys.extend(enumerate_monic(F2, d))
     for a in polys:
         for b in polys:
-            assert chi_t(a * b) == chi_t(a) * chi_t(b)
-            assert chi_t(a + b) == chi_t(a) + chi_t(b)
+            assert (a * b).chi_t() == a.chi_t() * b.chi_t()
+            assert (a + b).chi_t() == a.chi_t() + b.chi_t()
 
 
 # -- tau on coefficients ------------------------------------------------------------
@@ -77,10 +76,10 @@ def test_chi_t_is_ring_homomorphism_exhaustive():
 def test_tau_coeff_examples():
     q = F3.q
     theta_minus_t = BiPoly(F3, {(1, 0): 1, (0, 1): F3.neg(1)})
-    assert tau_coeff(theta_minus_t, 1) == BiPoly(F3, {(q, 0): 1, (0, 1): F3.neg(1)})
+    assert theta_minus_t.tau_twist(1) == BiPoly(F3, {(q, 0): 1, (0, 1): F3.neg(1)})
     rng = random.Random(5)
     c = rand_bipoly(F3, rng)
-    assert tau_coeff(c, 0) == c
+    assert c.tau_twist(0) == c
 
 
 def test_tau_coeff_is_ring_homomorphism():
@@ -88,14 +87,22 @@ def test_tau_coeff_is_ring_homomorphism():
     for _ in range(25):
         c = rand_bipoly(F3, rng, max_deg=5)
         d = rand_bipoly(F3, rng, max_deg=5)
-        assert tau_coeff(c * d, 1) == tau_coeff(c, 1) * tau_coeff(d, 1)
-        assert tau_coeff(c + d, 2) == tau_coeff(c, 2) + tau_coeff(d, 2)
+        assert (c * d).tau_twist(1) == c.tau_twist(1) * d.tau_twist(1)
+        assert (c + d).tau_twist(2) == c.tau_twist(2) + d.tau_twist(2)
 
 
 def test_tau_coeff_composes():
     rng = random.Random(23)
     c = rand_bipoly(F3, rng)
-    assert tau_coeff(tau_coeff(c, 1), 2) == tau_coeff(c, 3)
+    assert c.tau_twist(1).tau_twist(2) == c.tau_twist(3)
+
+
+@pytest.mark.parametrize("method", ["tau_twist", "frobenius"])
+def test_negative_twist_is_rejected(method):
+    # theta**3 + 2 theta t; a negative k once gave float exponents
+    c = BiPoly(F3, {(3, 0): 1, (1, 1): 2})
+    with pytest.raises(ValueError):
+        getattr(c, method)(-1)
 
 
 def test_bipoly_mul_against_integer_oracle():
@@ -123,14 +130,12 @@ def test_bipoly_frobenius_is_qth_power():
         assert c.frobenius(1) == direct
 
 
-def test_bipoly_subs_and_swap():
+def test_bipoly_subs_t_theta():
     # theta - t vanishes at t = theta; theta + t collapses to 2 theta
     tm = BiPoly(F3, {(1, 0): 1, (0, 1): F3.neg(1)})
     assert tm.subs_t_theta().is_zero
     tp = BiPoly(F3, {(1, 0): 1, (0, 1): 1})
     assert tp.subs_t_theta() == BiPoly(F3, {(1, 0): 2})
-    c = BiPoly(F3, {(1, 0): 1, (0, 1): 2})
-    assert c.swap_vars() == BiPoly(F3, {(0, 1): 1, (1, 0): 2})
 
 
 # -- univariate helpers ------------------------------------------------------------
