@@ -25,7 +25,11 @@ two reduced vectors raises the bound by at most weight * m, where
 weight = (p-1)**2 and m is the smaller of the operands' counts of nonzero
 digits over all planes (a popcount bounds it): a slot of output plane
 k + l gets one digit product per nonzero digit in plane k of either
-operand, and distinct k pair with distinct l.
+operand, and distinct k pair with distinct l.  A product too large for
+one accumulation is split into chunks of the first operand, each of
+room // (weight * e) slots per plane (room = limit - (p-1), what is left
+after a reduction), so a chunk holds at most e times that many nonzero
+digits and raises the bound by at most room.
 Folding the planes of degree >= e by the modulus then raises the bound by
 the factor 1 + (e-1)(p-1), and limit times that factor is still a value
 that reduction mod p takes in one slot.

@@ -286,9 +286,11 @@ def _product_sum(field, pairs):
         step = weight * min(sum(map(int.bit_count, xs)), pop_y)
         pieces = ((xs, 0),)
         if step > room:
-            slots = room // weight
+            # a chunk takes `slots` slots of each of the e planes, so it
+            # holds at most e * slots nonzero digits
+            slots = room // (weight * pk.e)
             pieces = _chunks(xs, slots, pk.bits)
-            step = weight * min(slots, pop_y)
+            step = weight * min(pk.e * slots, pop_y)
         for xs, shift in pieces:
             if bound + step > limit:
                 acc = list(pk.reduce(acc)) + [0] * (pk.e - 1)
@@ -365,15 +367,16 @@ class BiPoly:
 
     @classmethod
     def zero(cls, field):
-        return cls._from_values(field, (), 1)
+        return cls.scalar(field, 0)
 
     @classmethod
     def one(cls, field):
-        return cls._from_values(field, (1,), 1)
+        return cls.scalar(field, 1)
 
     @classmethod
     def scalar(cls, field, c):
-        return cls._from_values(field, (c,), 1)
+        # digit k of c, alone in slot 0, is plane k
+        return cls._make(field, field.digits(c), 1)
 
     @classmethod
     def theta_pow(cls, field, i, c=1):

@@ -164,16 +164,16 @@ def sym_power_matrix(a, b, c, d, l):
     for r in range(l + 1):
         row = []
         for s in range(l + 1):
-            acc = BiPoly.zero(field)
+            pairs = []
             for j in range(max(0, l - r - s), min(l - s, l - r) + 1):
                 coef = (lucas_binom(l - s, j, p)
                         * lucas_binom(s, l - r - j, p)) % p
                 if not coef:
                     continue
-                term = pows["a"][j] * pows["c"][l - s - j]
-                term = term * pows["b"][l - r - j] * pows["d"][s - l + r + j]
-                acc = acc + term.scale(field.scalar(coef))
-            row.append(acc)
+                left = pows["a"][j] * pows["c"][l - s - j]
+                right = pows["b"][l - r - j] * pows["d"][s - l + r + j]
+                pairs.append((left, right.scale(field.scalar(coef))))
+            row.append(BiPoly.sum_of_products(field, pairs))
         matrix.append(row)
     return matrix
 
@@ -191,14 +191,14 @@ def matrix_det(matrix):
         if cached is not None:
             return cached
         r = n - len(cols)
-        acc = BiPoly.zero(field)
+        pairs = []
         for idx, col in enumerate(cols):
             entry = matrix[r][col]
             if entry.is_zero:
                 continue
             sub = minor(cols[:idx] + cols[idx + 1:])
-            term = entry * sub
-            acc = acc + term if idx % 2 == 0 else acc - term
+            pairs.append((entry if idx % 2 == 0 else -entry, sub))
+        acc = BiPoly.sum_of_products(field, pairs)
         memo[cols] = acc
         return acc
 

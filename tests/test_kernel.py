@@ -175,15 +175,17 @@ def test_terms_round_trip_and_layout_free_identity(field, data):
     assert u.to_bipoly().terms == {(i, 0): c for i, c in enumerate(u.coeffs) if c}
 
 
-@pytest.mark.parametrize("p", [251, 257])
+@pytest.mark.parametrize("p, e", [(251, 1), (257, 1), (2, 2), (2, 3)])
 @settings(max_examples=5)
 @given(data=st.data())
-def test_sum_of_many_dense_products_reduces_early(p, data):
-    # all-(p-1) operands make every product slot as large as it can be; a
-    # few hundred of them overflow one accumulation, so it must reduce early
-    field = finite_field(p)
-    dense = {(i, 0): p - 1 for i in range(400)}
-    pool = [dense, {(i, j): p - 1 for i in range(60) for j in range(3)},
+def test_sum_of_many_dense_products_reduces_early(p, e, data):
+    # all-(q-1) operands make every product slot as large as it can be (every
+    # digit is p - 1); a few hundred of them overflow one accumulation, so it
+    # must reduce early, and over F_4 and F_8 the 400-term one is also split
+    field = finite_field(p, e)
+    top = field.q - 1
+    dense = {(i, 0): top for i in range(400)}
+    pool = [dense, {(i, j): top for i in range(60) for j in range(3)},
             nonzero(data.draw(term_maps(field, 150, 2, 60)))]
     counts = data.draw(st.lists(st.integers(40, 80), min_size=9, max_size=9))
     picks = [(u, v) for u in range(3) for v in range(3) for _ in range(counts[3 * u + v])]
@@ -206,13 +208,16 @@ def test_sum_of_many_dense_products_reduces_early(p, data):
     assert len(reductions) > 1
 
 
-@pytest.mark.parametrize("p, length", [(2, 300), (3, 9000), (251, 6000)])
-def test_single_product_beyond_slot_capacity_is_split(p, length, monkeypatch):
-    # one product of two dense all-(p-1) rows overlaps in more slots than one
-    # accumulation may hold; coefficient k is (p-1)**2 times the number of
-    # pairs i + j = k, mod p
-    field = finite_field(p)
-    a = BiPoly(field, {(i, 0): p - 1 for i in range(length)})
+@pytest.mark.parametrize("p, e, length", [(2, 1, 300), (3, 1, 9000), (251, 1, 6000),
+                                          (2, 2, 300), (2, 3, 300), (3, 2, 3000)])
+def test_single_product_beyond_slot_capacity_is_split(p, e, length, monkeypatch):
+    # one product of two dense all-(q-1) rows overlaps in more slots than one
+    # accumulation may hold; coefficient k is (q-1)**2 times the number of
+    # pairs i + j = k.  For e > 1 a chunk of the first operand feeds every
+    # output plane from each of its e planes.
+    field = finite_field(p, e)
+    square = field.mul(field.q - 1, field.q - 1)
+    a = BiPoly(field, {(i, 0): field.q - 1 for i in range(length)})
     chunks = []
     real_chunks = polynomials._chunks
     monkeypatch.setattr(polynomials, "_chunks",
@@ -221,7 +226,7 @@ def test_single_product_beyond_slot_capacity_is_split(p, length, monkeypatch):
     assert chunks
     expected = {}
     for k in range(2 * length - 1):
-        v = (p - 1) ** 2 * (min(k, 2 * length - 2 - k) + 1) % p
+        v = field.mul(field.scalar(min(k, 2 * length - 2 - k) + 1), square)
         if v:
             expected[(k, 0)] = v
     assert got == expected
