@@ -6,4 +6,4 @@ class PrecisionError(ArithmeticError):
 
 
 class ResourceLimitError(RuntimeError):
-    """A configured safety bound (t-degree cap, iteration budget) was exceeded."""
+    """A configured safety bound (t-degree cap, field order) was exceeded."""

@@ -5,8 +5,23 @@ vectors: the int sum(c_i * p**i) stands for the residue class
 sum(c_i * x**i) modulo the defining polynomial.  With this encoding 0
 and 1 are always the additive and multiplicative identities, integer
 scalars k embed as k % p, and the natural int order is a canonical
-enumeration of the field.  Element arithmetic is table-driven (Zech
-logarithms fill the multiplication table).
+enumeration of the field.
+
+Element arithmetic runs on three O(q) tables built with the field, from
+the first generator g of the multiplicative group (Zech logarithms):
+
+  exp[i]  = g**i for 0 <= i < 2(q-1), doubled so that a product
+            exp[log a + log b] needs no modulo;
+  log[a]  = the i < q-1 with g**i == a, for a != 0;
+  zech[i] = log(1 + g**i), or None when 1 + g**i == 0,
+
+so that a + b = g**(log a + zech[log b - log a]) (a negative index wraps
+around, which is exactly the difference mod q-1), -a = a * g**((q-1)/2)
+for odd q, and inverses and powers are exponent arithmetic.  Nothing of
+size q*q is ever built.  The tables hold about 4q list slots, so a field
+is rejected up front, with ResourceLimitError, when q > MAX_ORDER = 2**16:
+that check comes before the defining polynomial is searched for or any
+table is built, and allocates nothing.
 
 The polynomial layer above works on whole vectors of elements at once,
 packed into Python ints by the field's _SlotPacking (FiniteField.packing):
@@ -40,9 +55,12 @@ irreducibility (no roots in F_p, plus trial division by every monic
 polynomial of degree <= e // 2).
 """
 
+import operator
 import sys
 from functools import lru_cache
 from itertools import product
+
+from .errors import ResourceLimitError
 
 
 def is_prime(n):
@@ -54,6 +72,19 @@ def is_prime(n):
             return False
         d += 1
     return True
+
+
+def _prime_factors(n):
+    out, r = [], 2
+    while r * r <= n:
+        if n % r == 0:
+            out.append(r)
+            while n % r == 0:
+                n //= r
+        r += 1
+    if n > 1:
+        out.append(n)
+    return out
 
 
 # -- polynomial helpers over F_p on little-endian coefficient tuples --------
@@ -112,9 +143,22 @@ def _fp_is_irreducible(m, p):
     return True
 
 
+# Largest field order accepted: the element tables take about 4q list slots.
+MAX_ORDER = 1 << 16
+
+
+def _check_order(p, e):
+    """Reject F_{p**e} when q = p**e > MAX_ORDER, before anything is allocated."""
+    # p**e >= 2**e: a large e is rejected before any power is computed
+    if p >= 2 and e >= 1 and (e >= MAX_ORDER.bit_length() or p ** e > MAX_ORDER):
+        raise ResourceLimitError(
+            f"the field F_{p}^{e} is too large: at most {MAX_ORDER} elements are supported")
+
+
 @lru_cache(maxsize=None)
 def canonical_modulus(p, e):
     """First monic irreducible of degree e over F_p, in integer-encoding order."""
+    _check_order(p, e)
     for k in range(p ** e):
         lows = []
         v = k
@@ -131,10 +175,11 @@ class FiniteField:
     """The field F_q, q = p**e, with elements encoded as ints in range(q)."""
 
     def __init__(self, p, e=1, modulus=None):
-        if not is_prime(p):
-            raise ValueError(f"characteristic {p} is not prime")
         if e < 1:
             raise ValueError("extension degree must be >= 1")
+        _check_order(p, e)
+        if not is_prime(p):
+            raise ValueError(f"characteristic {p} is not prime")
         if modulus is None:
             modulus = canonical_modulus(p, e)
         modulus = tuple(int(c) % p for c in modulus)
@@ -146,8 +191,8 @@ class FiniteField:
         self.e = e
         self.q = p ** e
         self.modulus = modulus
-        self._tables = None
         self._packing = None
+        self._build_logs()
 
     # -- table construction --------------------------------------------------
 
@@ -163,54 +208,54 @@ class FiniteField:
         red = _fp_mod(prod_, self.modulus, self.p)
         return sum(c * self.p ** i for i, c in enumerate(red))
 
-    def _build_tables(self):
-        p, q = self.p, self.q
-        digits = [self._digits_of(a) for a in range(q)]
-        add = [[0] * q for _ in range(q)]
-        for a in range(q):
-            da = digits[a]
-            row = add[a]
-            for b in range(a, q):
-                db = digits[b]
-                s = 0
-                for i in range(self.e):
-                    s += ((da[i] + db[i]) % p) * p ** i
-                row[b] = s
-                add[b][a] = s
-        neg = [0] * q
-        for a in range(q):
-            neg[a] = sum(((-d) % p) * p ** i for i, d in enumerate(digits[a]))
-        # multiplicative group via a generator (Zech-style exp/log)
-        gen = None
-        for g in range(1, q):
-            x, order = g, 1
-            while x != 1:
-                x = self._raw_mul(x, g)
-                order += 1
-            if order == q - 1:
-                gen = g
-                break
-        exp = [1] * (q - 1)
-        for i in range(1, q - 1):
-            exp[i] = self._raw_mul(exp[i - 1], gen)
-        log = [0] * q
+    def _powers(self, g):
+        """[g**i for i < q - 1]: each step is the F_p-linear map x -> g * x
+        on digit vectors."""
+        p, n = self.p, self.q - 1
+        out = [1] * n
+        if self.e == 1:
+            for i in range(1, n):
+                out[i] = out[i - 1] * g % p
+            return out
+        powers = [p ** k for k in range(self.e)]
+        # rows[j][k]: digit j of g * x**k
+        rows = list(zip(*(self._digits_of(self._raw_mul(g, pw)) for pw in powers)))
+        digits = self._digits_of(1)
+        for i in range(1, n):
+            digits = [sum(map(operator.mul, row, digits)) % p for row in rows]
+            out[i] = sum(map(operator.mul, digits, powers))
+        return out
+
+    def _raw_pow(self, g, k):
+        out = 1
+        while k:
+            if k & 1:
+                out = self._raw_mul(out, g)
+            g = self._raw_mul(g, g)
+            k >>= 1
+        return out
+
+    def _build_logs(self):
+        """The exp (doubled), log and zech tables, from the first generator."""
+        p, q, n = self.p, self.q, self.q - 1
+        # g generates when g**(n/r) != 1 for every prime r | n
+        factors = _prime_factors(n)
+        exp = self._powers(next(g for g in range(1, q)
+                                if all(self._raw_pow(g, n // r) != 1 for r in factors)))
+        log = [None] * q
         for i, v in enumerate(exp):
             log[v] = i
-        mul = [[0] * q for _ in range(q)]
-        for a in range(1, q):
-            la = log[a]
-            row = mul[a]
-            for b in range(1, q):
-                row[b] = exp[(la + log[b]) % (q - 1)]
-        inv = [0] * q
-        for a in range(1, q):
-            inv[a] = exp[(q - 1 - log[a]) % (q - 1)]
-        self._tables = (add, mul, neg, inv, exp, log)
-
-    def _get_tables(self):
-        if self._tables is None:
-            self._build_tables()
-        return self._tables
+        zech = [None] * n
+        for i, v in enumerate(exp):
+            # 1 + v adds one to digit 0
+            w = v + 1 if v % p != p - 1 else v - (p - 1)
+            if w:
+                zech[i] = log[w]
+        self._exp = exp + exp
+        self._log = log
+        self._zech = zech
+        # log(-1): -1 == 1 in characteristic 2
+        self._half = n // 2 if p != 2 else 0
 
     @property
     def packing(self):
@@ -219,50 +264,40 @@ class FiniteField:
             self._packing = _SlotPacking(self)
         return self._packing
 
-    @property
-    def add_table(self):
-        return self._get_tables()[0]
-
-    @property
-    def mul_table(self):
-        return self._get_tables()[1]
-
-    @property
-    def neg_table(self):
-        return self._get_tables()[2]
-
-    @property
-    def inv_table(self):
-        return self._get_tables()[3]
-
     # -- element operations --------------------------------------------------
 
     def add(self, a, b):
-        return self.add_table[a][b]
+        if not a:
+            return b
+        if not b:
+            return a
+        log = self._log
+        la = log[a]
+        z = self._zech[log[b] - la]
+        return 0 if z is None else self._exp[la + z]
 
     def sub(self, a, b):
-        return self.add_table[a][self.neg_table[b]]
+        return self.add(a, self.neg(b))
 
     def mul(self, a, b):
-        return self.mul_table[a][b]
+        return self._exp[self._log[a] + self._log[b]] if a and b else 0
 
     def neg(self, a):
-        return self.neg_table[a]
+        return self._exp[self._log[a] + self._half] if a else 0
 
     def inv(self, a):
         if a == 0:
             raise ZeroDivisionError("inverse of zero field element")
-        return self.inv_table[a]
+        return self._exp[self.q - 1 - self._log[a]]
 
     def pow(self, a, k):
-        add, mul, neg, inv, exp, log = self._get_tables()
         if a == 0:
             if k > 0:
                 return 0
             if k == 0:
                 return 1
             raise ZeroDivisionError("negative power of zero field element")
-        return exp[(log[a] * k) % (self.q - 1)]
+        return self._exp[self._log[a] * k % (self.q - 1)]
 
     def scalar(self, k):
         """Embed the integer k via the prime subfield."""

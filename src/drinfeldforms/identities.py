@@ -34,12 +34,14 @@ def _x_plus_u(field, u):
 
 
 def _products_excluding(field, factors):
-    """(full product, [product over all factors but one]) without division."""
+    """(full product, [product over all factors but one]) without division,
+    for nonempty factors of any one ring (UniPoly or BiPoly)."""
     n = len(factors)
-    prefix = [BiPoly.one(field)]
+    one = type(factors[0]).one(field)
+    prefix = [one]
     for f in factors:
         prefix.append(prefix[-1] * f)
-    suffix = [BiPoly.one(field)] * (n + 1)
+    suffix = [one] * (n + 1)
     for i in range(n - 1, -1, -1):
         suffix[i] = factors[i] * suffix[i + 1]
     return prefix[n], [prefix[i] * suffix[i + 1] for i in range(n)]
@@ -84,15 +86,8 @@ def goss_degenerate_check(field, l):
     """sum_u (1/(Y + u))**l == (sum_u 1/(Y + u))**l over F_q(Y)."""
     if l < 1:
         raise ValueError("l must be >= 1")
-    factors = [UniPoly(field, (u, 1)) for u in field.elements()]
-    n = len(factors)
-    prefix = [UniPoly.one(field)]
-    for f in factors:
-        prefix.append(prefix[-1] * f)
-    suffix = [UniPoly.one(field)] * (n + 1)
-    for i in range(n - 1, -1, -1):
-        suffix[i] = factors[i] * suffix[i + 1]
-    pi_except = [prefix[i] * suffix[i + 1] for i in range(n)]
+    _, pi_except = _products_excluding(
+        field, [UniPoly(field, (u, 1)) for u in field.elements()])
     lhs = UniPoly.zero(field)
     rhs_inner = UniPoly.zero(field)
     for pe in pi_except:
@@ -226,22 +221,16 @@ class PartialLValue:
 
 
 def pellarin_partial(field, alpha, beta, n):
-    """Exact partial sum over monic a with deg a < n."""
+    """Exact partial sum over monic a with deg a < n.
+
+    Division-free: each den / a**beta is a product of prefix and suffix
+    products of the a**beta, and the numerator is one sum of products."""
     if alpha < 1 or beta < 1 or n < 1:
         raise ValueError("alpha, beta, n must all be >= 1")
     monics = monic_below(field, n)
-    den = UniPoly.one(field)
-    powers = []
-    for a in monics:
-        ab = a ** beta
-        powers.append(ab)
-        den = den * ab
-    num = BiPoly.zero(field)
-    for a, ab in zip(monics, powers):
-        quotient, rem = divmod(den, ab)
-        if not rem.is_zero:
-            raise ArithmeticError("exact division failed")
-        num = num + (a.chi_t() ** alpha) * quotient.to_bipoly()
+    den, cofactors = _products_excluding(field, [a ** beta for a in monics])
+    num = BiPoly.sum_of_products(field, [(a.chi_t() ** alpha, cofactor.to_bipoly())
+                                         for a, cofactor in zip(monics, cofactors)])
     return PartialLValue(field, alpha, beta, n, num, den)
 
 

@@ -1,17 +1,19 @@
 """Polynomial rings over F_q: univariate F_q[theta] and bivariate F_q[theta, t].
 
-UniPoly is the dense univariate ring playing the role of the base ring
+UniPoly is the univariate ring playing the role of the base ring
 A = F_q[theta] (monic elements are the summation domain of every form);
 BiPoly is the bivariate coefficient ring F_q[theta, t] used by all
 u-expansions.  Both are immutable by convention: every operation returns
 a fresh object.
 
-BiPoly is packed (Kronecker substitution): theta**i t**j is slot
+Both are packed (Kronecker substitution): theta**i t**j is slot
 i + j * stride of one int per base-p digit plane, with the slot width,
-the no-carry invariant and the reduction mod p of fields._SlotPacking.
-A product is then one big-int multiply per pair of planes, and
-_product_sum, the one coefficient kernel, adds the raw products of many
-pairs before it reduces once.
+the no-carry invariant and the reduction mod p of fields._SlotPacking;
+a UniPoly is a single row.  A product is then one big-int multiply per
+pair of planes, and _product_sum, the one coefficient kernel, adds the
+raw products of many pairs before it reduces once.  Sums, negation and
+scaling are plane operations too; only UniPoly division works on
+coefficient lists, through the field's element operations.
 
 A raising-to-the-q trick is used throughout: in characteristic p with
 q = p**e a power f**(q**k) is plain exponent scaling (F_q-scalars are
@@ -28,100 +30,117 @@ def _same_field(a, b):
 
 
 class UniPoly:
-    """Univariate polynomial over F_q, dense little-endian coefficients."""
+    """Univariate polynomial over F_q, packed like one BiPoly row.
 
-    __slots__ = ("field", "coeffs")
+    theta**i is slot i of the planes (one per base-p digit, see
+    fields._SlotPacking); stored planes are reduced, so equal polynomials
+    have equal planes.  `coeffs` is the trimmed tuple of coefficients,
+    decoded once on first access (or kept from the constructor).
+    """
+
+    __slots__ = ("field", "_planes", "_width", "_coeffs")
 
     def __init__(self, field, coeffs=()):
         coeffs = list(coeffs)
         while coeffs and coeffs[-1] == 0:
             coeffs.pop()
         self.field = field
-        self.coeffs = tuple(coeffs)
+        self._planes = field.packing.pack(coeffs)
+        self._width = len(coeffs)
+        self._coeffs = tuple(coeffs)
+
+    @classmethod
+    def _make(cls, field, planes, stride=None):
+        """The polynomial with these reduced planes (a stride is ignored:
+        there is one row)."""
+        obj = object.__new__(cls)
+        obj.field = field
+        obj._planes = planes
+        obj._width = -(-max(map(int.bit_length, planes)) // field.packing.bits)
+        obj._coeffs = None
+        return obj
 
     @classmethod
     def zero(cls, field):
-        return cls(field, ())
+        return cls.constant(field, 0)
 
     @classmethod
     def one(cls, field):
-        return cls(field, (1,))
+        return cls.constant(field, 1)
 
     @classmethod
     def constant(cls, field, c):
-        return cls(field, (c,))
+        # digit k of c, alone in slot 0, is plane k
+        return cls._make(field, field.digits(c))
 
     @classmethod
     def gen(cls, field):
         """The generator theta."""
-        return cls(field, (0, 1))
+        return cls._make(field, (1 << field.packing.bits,) + (0,) * (field.e - 1))
+
+    @property
+    def coeffs(self):
+        if self._coeffs is None:
+            self._coeffs = tuple(self.field.packing.unpack(self._planes, self._width))
+        return self._coeffs
+
+    def _planes_at(self, stride):
+        # one row: the layout does not depend on the stride
+        return self._planes
 
     @property
     def degree(self):
         """Degree, or None for the zero polynomial (callers branch explicitly)."""
-        return len(self.coeffs) - 1 if self.coeffs else None
+        return self._width - 1 if self._width else None
 
     @property
     def is_zero(self):
-        return not self.coeffs
+        return not self._width
 
     @property
     def leading(self):
-        if not self.coeffs:
+        if not self._width:
             raise ValueError("zero polynomial has no leading coefficient")
         return self.coeffs[-1]
 
     @property
     def is_monic(self):
-        return bool(self.coeffs) and self.coeffs[-1] == 1
+        return bool(self._width) and self.leading == 1
 
     def __eq__(self, other):
         return (isinstance(other, UniPoly) and self.field == other.field
-                and self.coeffs == other.coeffs)
+                and self._planes == other._planes)
 
     def __hash__(self):
-        return hash((self.field, self.coeffs))
+        return hash((self.field, self._planes))
+
+    def _add_multiple(self, other, c):
+        """self + c * other for an integer 1 <= c < p."""
+        _same_field(self, other)
+        mod = self.field.packing.mod
+        return UniPoly._make(self.field, tuple(mod(x + c * y)
+                                               for x, y in zip(self._planes, other._planes)))
 
     def __add__(self, other):
-        _same_field(self, other)
-        add = self.field.add_table
-        a, b = self.coeffs, other.coeffs
-        if len(a) < len(b):
-            a, b = b, a
-        out = list(a)
-        for i, cb in enumerate(b):
-            out[i] = add[out[i]][cb]
-        return UniPoly(self.field, out)
-
-    def __neg__(self):
-        neg = self.field.neg_table
-        return UniPoly(self.field, [neg[c] for c in self.coeffs])
+        return self._add_multiple(other, 1)
 
     def __sub__(self, other):
-        return self + (-other)
+        return self._add_multiple(other, self.field.p - 1)
+
+    def __neg__(self):
+        pk = self.field.packing
+        return UniPoly._make(self.field, tuple(pk.mod((pk.p - 1) * x) for x in self._planes))
 
     def __mul__(self, other):
-        _same_field(self, other)
-        f = self.field
-        a, b = self.coeffs, other.coeffs
-        if not a or not b:
-            return UniPoly.zero(f)
-        add, mul = f.add_table, f.mul_table
-        out = [0] * (len(a) + len(b) - 1)
-        for i, ca in enumerate(a):
-            if ca:
-                row = mul[ca]
-                for j, cb in enumerate(b):
-                    if cb:
-                        k = i + j
-                        out[k] = add[out[k]][row[cb]]
-        return UniPoly(f, out)
+        return _product_sum(self.field, ((self, other),), UniPoly)
+
+    @classmethod
+    def sum_of_products(cls, field, pairs):
+        """sum(a * b for a, b in pairs), reduced once at the end."""
+        return _product_sum(field, pairs, cls)
 
     def scale(self, c):
-        if c == 0:
-            return UniPoly.zero(self.field)
-        row = self.field.mul_table[c]
-        return UniPoly(self.field, [row[x] for x in self.coeffs])
+        return _product_sum(self.field, ((self, UniPoly.constant(self.field, c)),), UniPoly)
 
     def _pow_small(self, k):
         result = UniPoly.one(self.field)
@@ -136,12 +155,8 @@ class UniPoly:
 
     def exponent_scale(self, s):
         """theta**i -> theta**(i*s); equals self**s when s is a power of q."""
-        if not self.coeffs:
-            return self
-        out = [0] * ((len(self.coeffs) - 1) * s + 1)
-        for i, c in enumerate(self.coeffs):
-            out[i * s] = c
-        return UniPoly(self.field, out)
+        nbytes = self.field.packing.nbytes
+        return UniPoly._make(self.field, tuple(_spread(x, s, nbytes) for x in self._planes))
 
     def __pow__(self, k):
         if k < 0:
@@ -168,21 +183,20 @@ class UniPoly:
         f = self.field
         if other.is_zero:
             raise ZeroDivisionError("polynomial division by zero")
-        add, mul, neg = f.add_table, f.mul_table, f.neg_table
         inv_lead = f.inv(other.leading)
+        divisor = other.coeffs
+        db = len(divisor) - 1
         rem = list(self.coeffs)
-        db = other.degree
         quo = [0] * max(len(rem) - db, 0)
-        while len(rem) - 1 >= db and rem:
-            if rem[-1]:
-                coef = mul[rem[-1]][inv_lead]
-                shift = len(rem) - 1 - db
+        for shift in range(len(quo) - 1, -1, -1):
+            top = rem[shift + db]
+            if top:
+                coef = f.mul(top, inv_lead)
                 quo[shift] = coef
-                row = mul[coef]
-                for i, cb in enumerate(other.coeffs):
-                    rem[shift + i] = add[rem[shift + i]][neg[row[cb]]]
-            rem.pop()
-        return UniPoly(f, quo), UniPoly(f, rem)
+                minus = f.neg(coef)
+                for i, cb in enumerate(divisor):
+                    rem[shift + i] = f.add(rem[shift + i], f.mul(minus, cb))
+        return UniPoly(f, quo), UniPoly(f, rem[:db])
 
     def __floordiv__(self, other):
         return divmod(self, other)[0]
@@ -192,13 +206,14 @@ class UniPoly:
 
     def chi_t(self):
         """Evaluation character theta -> t, landing in F_q[theta, t]."""
-        return BiPoly._from_values(self.field, self.coeffs, 1)
+        # slot i of one row is t**i at stride 1
+        return BiPoly._make(self.field, self._planes, 1)
 
     def to_bipoly(self):
-        return BiPoly._from_values(self.field, self.coeffs, max(len(self.coeffs), 1))
+        return BiPoly._make(self.field, self._planes, max(self._width, 1))
 
     def __repr__(self):
-        if not self.coeffs:
+        if not self._width:
             return "UniPoly(0)"
         parts = []
         for i, c in enumerate(self.coeffs):
@@ -257,10 +272,12 @@ def _spread(x, s, nbytes):
     return int.from_bytes(out, "little")
 
 
-def _product_sum(field, pairs):
-    """sum(a * b for a, b in pairs) as one raw accumulation, reduced at the end.
+def _product_sum(field, pairs, cls=None):
+    """sum(a * b for a, b in pairs) as one raw accumulation, reduced at the end,
+    as a cls (BiPoly by default).
 
-    The kernel of every BiPoly and USeries product.  All products are laid
+    The kernel of every UniPoly, BiPoly and USeries product; a UniPoly is
+    one row, so the two kinds mix freely.  All products are laid
     out at one stride, wide enough for the largest theta-degree sum, and
     accumulate plane by plane.  The accumulation tracks a bound on its
     slots (see fields._SlotPacking) and reduces early when the next product
@@ -273,7 +290,7 @@ def _product_sum(field, pairs):
     stride = 1
     for a, b in pairs:
         _same_field(a, b)
-        if a._rows and b._rows:
+        if a._width and b._width:
             shaped.append((a, b))
             stride = max(stride, a._width + b._width - 1)
     acc = [0] * (2 * pk.e - 1)
@@ -301,7 +318,7 @@ def _product_sum(field, pairs):
                         if y:
                             acc[k + l] += (x * y) << shift
             bound += step
-    return BiPoly._make(field, pk.reduce(acc), stride)
+    return (cls or BiPoly)._make(field, pk.reduce(acc), stride)
 
 
 def _chunks(xs, slots, bits):
@@ -389,10 +406,9 @@ class BiPoly:
     @classmethod
     def from_pairs(cls, field, pairs):
         """Build from ((i, j), coefficient) pairs, accumulating duplicates."""
-        add = field.add_table
         terms = {}
         for key, v in pairs:
-            terms[key] = add[terms.get(key, 0)][v]
+            terms[key] = field.add(terms.get(key, 0), v)
         return cls(field, terms)
 
     # -- layout ---------------------------------------------------------------

@@ -18,6 +18,8 @@ one module phi with phi(theta) = theta + tau, and the exact expansions of
 u_c = 1 / phi_c(1/u) for monic c and of its powers u_c**l, 1 <= l <= q.
 """
 
+from functools import lru_cache
+
 from .errors import PrecisionError
 from .polynomials import BiPoly, UniPoly, _product_sum, _same_field
 
@@ -304,25 +306,28 @@ class CarlitzOperator:
         return f"CarlitzOperator({[p for p in self.coeffs]!r})"
 
 
+@lru_cache(maxsize=None)
+def _phi_theta_power(field, k):
+    """phi_{theta**k}, composed once per field and k (fields are interned,
+    operators are immutable), so every carlitz_phi call shares the chain."""
+    if k == 0:
+        return CarlitzOperator(field, [UniPoly.one(field)])
+    phi_theta = CarlitzOperator(field, [UniPoly.gen(field), UniPoly.one(field)])
+    return phi_theta.compose(_phi_theta_power(field, k - 1))
+
+
 def carlitz_phi(a):
-    """Twisted-polynomial coefficients [a, 0], ..., [a, deg a] of phi_a."""
+    """Twisted-polynomial coefficients [a, 0], ..., [a, deg a] of phi_a:
+    the F_q-linear combination of the phi_{theta**k} by the coefficients of a."""
     if a.is_zero:
         raise ValueError("phi is only defined for nonzero ring elements")
     f = a.field
-    phi_theta = CarlitzOperator(f, [UniPoly.gen(f), UniPoly.one(f)])
-    # phi_{theta**k} by iterated composition, then F_q-linear combination
-    power = CarlitzOperator(f, [UniPoly.one(f)])
-    rows = []
-    for k in range(len(a.coeffs)):
-        rows.append(power)
-        if k + 1 < len(a.coeffs):
-            power = phi_theta.compose(power)
-    out = [UniPoly.zero(f) for _ in range(a.degree + 1)]
-    for k, ck in enumerate(a.coeffs):
-        if ck:
-            for i, coeff in enumerate(rows[k].coeffs):
-                out[i] = out[i] + coeff.scale(ck)
-    return CarlitzOperator(f, out)
+    coeffs = a.coeffs
+    rows = [_phi_theta_power(f, k) for k in range(len(coeffs))]
+    scalars = [(k, UniPoly.constant(f, ck)) for k, ck in enumerate(coeffs) if ck]
+    return CarlitzOperator(f, [
+        UniPoly.sum_of_products(f, [(rows[k].coeffs[i], c) for k, c in scalars if k >= i])
+        for i in range(len(coeffs))])
 
 
 def _reversed_phi(c):

@@ -250,3 +250,29 @@ def test_custom_modulus_flag(capsys):
     code, _ = run_cli(capsys, "expand", "--form", "h", "--p", "2", "--e", "2",
                       "--modulus", "1,0,1", "--uprec", "8")
     assert code == 2  # x^2 + 1 is reducible over F_2
+
+
+# -- field size -------------------------------------------------------------------------
+
+
+def test_large_field_without_quadratic_tables(capsys):
+    # q = 10201: the O(q) element tables take milliseconds
+    code, obj = run_json(capsys, "expand", "--form", "g", "--p", "101", "--e", "2",
+                         "--uprec", "4")
+    assert code == 0 and obj["header"]["q"] == 10201
+    code, obj = run_json(capsys, "check", "--identity", "sym-det", "--p", "101", "--e", "2",
+                         "--trials", "3", "--l", "1..2")
+    assert code == 0 and obj["pass"] is True
+
+
+@pytest.mark.parametrize("argv", [
+    ["expand", "--form", "g", "--p", "2", "--e", "17"],
+    ["expand", "--form", "g", "--p", "65537"],
+    ["check", "--identity", "lemma3", "--p", "101", "--e", "2", "--n", "2"],
+], ids=["2^17", "65537", "lemma3-extension-101^8"])
+def test_oversized_field_exits_3(capsys, argv):
+    code = main(argv)
+    captured = capsys.readouterr()
+    assert code == 3
+    assert captured.out == ""
+    assert "too large" in captured.err

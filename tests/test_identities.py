@@ -8,7 +8,7 @@ from drinfeldforms.identities import (BruteForceInstance, PartialLValue,
                                       goss_degenerate_check, lemma1_check,
                                       lemma2_check, lemma3_bruteforce,
                                       pellarin_partial, stabilization_report)
-from drinfeldforms.polynomials import BiPoly, UniPoly
+from drinfeldforms.polynomials import BiPoly, UniPoly, monic_below
 
 F2 = finite_field(2)
 F3 = finite_field(3)
@@ -153,6 +153,26 @@ def test_partial_sum_power_relation_at_every_truncation():
     p113 = pellarin_partial(F2, 1, 1, 3)
     p223 = pellarin_partial(F2, 2, 2, 3)
     assert p223.num * (p113.den ** 2).to_bipoly() == (p113.num ** 2) * p223.den.to_bipoly()
+
+
+@pytest.mark.parametrize("field,alpha,beta,n", [(F2, 1, 1, 4), (F3, 3, 3, 3), (F4, 2, 1, 3),
+                                                (F5, 1, 2, 2)])
+def test_partial_sum_is_division_free(field, alpha, beta, n, monkeypatch):
+    # the earlier form: den = prod a**beta, and each den / a**beta by exact division
+    den = UniPoly.one(field)
+    for a in monic_below(field, n):
+        den = den * a ** beta
+    num = BiPoly.zero(field)
+    for a in monic_below(field, n):
+        quotient, rem = divmod(den, a ** beta)
+        assert rem.is_zero
+        num = num + a.chi_t() ** alpha * quotient.to_bipoly()
+
+    def no_division(*args):
+        raise AssertionError("pellarin_partial divided")
+    monkeypatch.setattr(UniPoly, "__divmod__", no_division)
+    value = pellarin_partial(field, alpha, beta, n)
+    assert value.den == den and value.num == num
 
 
 def test_partial_sum_input_validation():

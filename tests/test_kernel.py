@@ -2,9 +2,11 @@
 
 The reference below is the dict-of-terms kernel that BiPoly used before it
 was packed into slot planes: a polynomial is {(i, j): coefficient} and
-every product visits one term pair at a time through the field's tables.
-Every BiPoly and USeries operation must agree with it exactly, over prime
-fields, extension fields and primes large enough for 32-bit slots.
+every product visits one term pair at a time through the field's element
+operations.  UniPoly has its own reference, the dense coefficient loops it
+used before.  Every UniPoly, BiPoly and USeries operation must agree with
+them exactly, over prime fields, extension fields and primes large enough
+for 32-bit slots.
 """
 
 import pytest
@@ -13,7 +15,7 @@ from hypothesis import strategies as st
 
 from drinfeldforms import polynomials
 from drinfeldforms.fields import finite_field
-from drinfeldforms.polynomials import BiPoly, UniPoly
+from drinfeldforms.polynomials import BiPoly, UniPoly, poly_gcd
 from drinfeldforms.series import USeries
 
 FIELDS = [finite_field(p, e) for p, e in
@@ -24,10 +26,9 @@ FIELD_IDS = [f"F{f.q}" for f in FIELDS]
 
 
 def ref_accumulate(field, pairs):
-    add = field.add_table
     out = {}
     for key, v in pairs:
-        s = add[out.get(key, 0)][v]
+        s = field.add(out.get(key, 0), v)
         if s:
             out[key] = s
         elif key in out:
@@ -36,8 +37,7 @@ def ref_accumulate(field, pairs):
 
 
 def ref_mul(field, t1, t2):
-    mul = field.mul_table
-    return ref_accumulate(field, (((i1 + i2, j1 + j2), mul[v1][v2])
+    return ref_accumulate(field, (((i1 + i2, j1 + j2), field.mul(v1, v2))
                                   for (i1, j1), v1 in t1.items()
                                   for (i2, j2), v2 in t2.items()))
 
@@ -230,6 +230,127 @@ def test_single_product_beyond_slot_capacity_is_split(p, e, length, monkeypatch)
         if v:
             expected[(k, 0)] = v
     assert got == expected
+    chunks.clear()
+    u = UniPoly(field, [field.q - 1] * length)
+    assert (u * u).coeffs == ref_trim(expected.get((k, 0), 0) for k in range(2 * length - 1))
+    assert chunks
+
+
+# -- UniPoly ------------------------------------------------------------------------------
+
+
+def ref_trim(coeffs):
+    coeffs = list(coeffs)
+    while coeffs and coeffs[-1] == 0:
+        coeffs.pop()
+    return tuple(coeffs)
+
+
+def ref_uni_add(field, a, b):
+    n = max(len(a), len(b))
+    a, b = tuple(a) + (0,) * (n - len(a)), tuple(b) + (0,) * (n - len(b))
+    return ref_trim(field.add(x, y) for x, y in zip(a, b))
+
+
+def ref_uni_neg(field, a):
+    return tuple(field.neg(x) for x in a)
+
+
+def ref_uni_scale(field, a, c):
+    return ref_trim(field.mul(x, c) for x in a)
+
+
+def ref_uni_mul(field, a, b):
+    if not a or not b:
+        return ()
+    out = [0] * (len(a) + len(b) - 1)
+    for i, x in enumerate(a):
+        for j, y in enumerate(b):
+            out[i + j] = field.add(out[i + j], field.mul(x, y))
+    return ref_trim(out)
+
+
+def ref_uni_divmod(field, a, b):
+    """Long division, cancelling the leading term of the remainder each step."""
+    rem, quo = tuple(a), [0] * max(len(a) - len(b) + 1, 0)
+    inv = field.inv(b[-1])
+    while len(rem) >= len(b):
+        c = field.mul(rem[-1], inv)
+        shift = len(rem) - len(b)
+        quo[shift] = c
+        rem = ref_uni_add(field, rem, (0,) * shift + ref_uni_neg(field, ref_uni_scale(field, b, c)))
+    return ref_trim(quo), rem
+
+
+def ref_uni_gcd(field, a, b):
+    while b:
+        a, b = b, ref_uni_divmod(field, a, b)[1]
+    return ref_uni_scale(field, a, field.inv(a[-1])) if a else ()
+
+
+def uni_coeffs(field, max_size=10):
+    return st.lists(st.integers(0, field.q - 1), max_size=max_size)
+
+
+@pytest.mark.parametrize("field", FIELDS, ids=FIELD_IDS)
+@settings(max_examples=25)
+@given(data=st.data())
+def test_unipoly_matches_reference(field, data):
+    ca, cb = data.draw(uni_coeffs(field)), data.draw(uni_coeffs(field))
+    # a common factor, so that the gcd is not always 1
+    common = data.draw(uni_coeffs(field, 4))
+    ca, cb = ref_uni_mul(field, ca, common), ref_uni_mul(field, cb, common)
+    c = data.draw(st.integers(0, field.q - 1))
+    a, b = UniPoly(field, ca), UniPoly(field, cb)
+    ca, cb = ref_trim(ca), ref_trim(cb)
+    assert a.coeffs == ca and a.degree == (len(ca) - 1 if ca else None)
+    assert (a * b).coeffs == ref_uni_mul(field, ca, cb)
+    assert (a + b).coeffs == ref_uni_add(field, ca, cb)
+    assert (a - b).coeffs == ref_uni_add(field, ca, ref_uni_neg(field, cb))
+    assert (-a).coeffs == ref_uni_neg(field, ca)
+    assert a.scale(c).coeffs == ref_uni_scale(field, ca, c)
+    if cb:
+        quo, rem = divmod(a, b)
+        assert (quo.coeffs, rem.coeffs) == ref_uni_divmod(field, ca, cb)
+    assert poly_gcd(a, b).coeffs == ref_uni_gcd(field, ca, cb)
+    for k in range(3 if field.q < 10 else 2):
+        s = field.q ** k
+        spread = [0] * ((len(ca) - 1) * s + 1) if ca else []
+        for i, x in enumerate(ca):
+            spread[i * s] = x
+        assert a.frobenius_twist(k).coeffs == tuple(spread)
+    # a kernel result equals (and hashes like) the same polynomial built
+    # from its coefficients
+    prod = a * b
+    rebuilt = UniPoly(field, prod.coeffs)
+    assert prod == rebuilt and hash(prod) == hash(rebuilt)
+    assert prod.is_monic == (bool(prod.coeffs) and prod.coeffs[-1] == 1)
+
+
+@pytest.mark.parametrize("field", FIELDS, ids=FIELD_IDS)
+@settings(max_examples=15)
+@given(data=st.data())
+def test_unipoly_pow_matches_reference(field, data):
+    ca = ref_trim(data.draw(uni_coeffs(field, 4)))
+    k = data.draw(st.sampled_from(sorted({0, 1, 2, 3, min(field.q, 6), field.q})))
+    expected = (1,)
+    for _ in range(k):
+        expected = ref_uni_mul(field, expected, ca)
+    assert (UniPoly(field, ca) ** k).coeffs == expected
+
+
+def test_unipoly_products_run_through_the_kernel(monkeypatch):
+    field = finite_field(3)
+    calls = []
+    real = polynomials._product_sum
+    monkeypatch.setattr(polynomials, "_product_sum",
+                        lambda *args: calls.append(1) or real(*args))
+    a = UniPoly(field, (1, 2, 0, 1))
+    for op in (lambda: a * a, lambda: a.scale(2), lambda: a ** 4,
+               lambda: UniPoly.sum_of_products(field, [(a, a)])):
+        before = len(calls)
+        op()
+        assert len(calls) > before
 
 
 # -- USeries -----------------------------------------------------------------------------

@@ -2,6 +2,7 @@ import random
 
 import pytest
 
+from drinfeldforms import series
 from drinfeldforms.errors import PrecisionError
 from drinfeldforms.fields import finite_field
 from drinfeldforms.polynomials import BiPoly, UniPoly, enumerate_monic
@@ -218,6 +219,30 @@ def test_phi_coefficient_invariants(field):
             assert op.tau_degree == d
             assert op.coeffs[0] == a
             assert op.coeffs[d] == UniPoly.one(field)
+
+
+def test_phi_theta_chain_is_built_once_per_field(monkeypatch):
+    # carlitz_phi combines cached phi_{theta**k}; only a longer chain composes
+    series._phi_theta_power.cache_clear()
+    composes = []
+    real = CarlitzOperator.compose
+    monkeypatch.setattr(CarlitzOperator, "compose",
+                        lambda self, other: composes.append(1) or real(self, other))
+    theta = UniPoly.gen(F3)
+    a = theta * theta * theta + theta
+    first = carlitz_phi(a)
+    assert len(composes) == 3
+    assert carlitz_phi(a + UniPoly.one(F3)) == CarlitzOperator(
+        F3, [first.coeffs[0] + UniPoly.one(F3)] + list(first.coeffs[1:]))
+    assert len(composes) == 3
+    carlitz_phi(a * theta * theta)
+    assert len(composes) == 5
+    # each phi_a still equals the composition it is defined by
+    phi_theta = CarlitzOperator(F3, [theta, UniPoly.one(F3)])
+    chained = CarlitzOperator(F3, [UniPoly.one(F3)])
+    for _ in range(3):
+        chained = real(phi_theta, chained)
+    assert carlitz_phi(theta * theta * theta) == chained
 
 
 def test_phi_rejects_zero():
