@@ -11,17 +11,16 @@ character-sum lemmas over F_q.
 from .errors import PrecisionError, ResourceLimitError
 from .fields import FiniteField, canonical_modulus, extension_field, finite_field
 from .forms import (EE_FROM_H_TAU_D2_SIGN, FormCatalog, bracket_twisted,
-                    d2_fixed_point, delta, ee_series, eisenstein_g,
-                    eisenstein_h, false_eisenstein, t_minus_theta_pow)
+                    t_minus_theta_pow)
 from .identities import (BruteForceInstance, PartialLValue, check_lvals,
-                         check_lvals_monic, goss_degenerate_check,
-                         lemma1_check, lemma2_check, lemma3_bruteforce,
-                         pellarin_partial, stabilization_report)
+                         goss_degenerate_check, lemma1_check, lemma2_check,
+                         lemma3_bruteforce, pellarin_partial,
+                         stabilization_report)
 from .polynomials import (BiPoly, UniPoly, enumerate_monic, lucas_binom,
                           monic_below, poly_gcd)
 from .series import CarlitzOperator, USeries, carlitz_phi, u_c_expansion
-from .shadowed import (check_d2_approx, d2_shadowed, enumerate_shadowed,
-                       g1k_shadowed, is_shadowed_partition)
+from .shadowed import (check_d2_approx, enumerate_shadowed, g1k_shadowed,
+                       is_shadowed_partition)
 from .taurec import (TauOperator, TauSequence, g_sequence, matrix_det,
                      operator_l1, operator_l2, sym_power_matrix)
 
@@ -32,12 +31,10 @@ __all__ = [
     "FiniteField", "FormCatalog", "PartialLValue", "PrecisionError",
     "ResourceLimitError", "TauOperator", "TauSequence", "UniPoly", "USeries",
     "bracket_twisted", "canonical_modulus", "carlitz_phi", "check_d2_approx",
-    "check_lvals", "check_lvals_monic", "d2_fixed_point", "d2_shadowed",
-    "delta", "ee_series", "eisenstein_g", "eisenstein_h", "enumerate_monic",
-    "enumerate_shadowed", "extension_field", "false_eisenstein", "finite_field",
-    "g1k_shadowed", "g_sequence", "goss_degenerate_check", "is_shadowed_partition",
-    "lemma1_check", "lemma2_check", "lemma3_bruteforce", "lucas_binom",
-    "matrix_det", "monic_below", "operator_l1", "operator_l2", "pellarin_partial",
-    "poly_gcd", "stabilization_report", "sym_power_matrix", "t_minus_theta_pow",
-    "u_c_expansion",
+    "check_lvals", "enumerate_monic", "enumerate_shadowed", "extension_field",
+    "finite_field", "g1k_shadowed", "g_sequence", "goss_degenerate_check",
+    "is_shadowed_partition", "lemma1_check", "lemma2_check", "lemma3_bruteforce",
+    "lucas_binom", "matrix_det", "monic_below", "operator_l1", "operator_l2",
+    "pellarin_partial", "poly_gcd", "stabilization_report", "sym_power_matrix",
+    "t_minus_theta_pow", "u_c_expansion",
 ]

@@ -8,7 +8,7 @@ FormCatalog fixes a field F_q and a working precision and caches:
   e       false Eisenstein, sum c u_c
   d2      the unit-root deformation: the unique series with constant
           term 1 solving X = g X^(1) + delta (t - theta**q) X^(2),
-          solved one u-coefficient at a time
+          relaxed: only reachable exponents are solved
   ee      deformation of e with expansion sum chi_t(c) u_c
 
 plus the families f_{l,nu} = sum c**(l q**nu) u_c**l (1 <= l <= q) and
@@ -24,7 +24,7 @@ the open-ended experiments.
 
 from .errors import PrecisionError
 from .polynomials import BiPoly, enumerate_monic
-from .series import USeries, u_c_expansion, u_c_power
+from .series import USeries, _relaxed_solve, _reversed_phi, u_c_expansion, u_c_power
 
 # Empirically fixed sign s in ee = s * h * tau(d2).  The A-expansion
 # sum chi_t(c) u_c is the ground truth; a test pins this constant.
@@ -63,6 +63,7 @@ class FormCatalog:
         self.prec = int(prec)
         self._monic = {}
         self._uc_pow = {}
+        self._rphi = {}
         self._cache = {}
 
     # -- summation helpers -----------------------------------------------------
@@ -85,13 +86,23 @@ class FormCatalog:
         cached = self._uc_pow.get(key)
         if cached is None:
             if power == 1:
-                cached = u_c_expansion(c, self.prec)
+                cached = u_c_expansion(c, self.prec, self._reversed_phi_of(c))
             elif 1 < power < self.field.q:
-                cached = u_c_power(self.u_c(c), c, power)
+                cached = u_c_power(self.u_c(c), c, power, self._reversed_phi_of(c))
             else:
                 cached = (self.u_c(c) ** power).truncate(self.prec)
             self._uc_pow[key] = cached
         return cached
+
+    def _reversed_phi_of(self, c):
+        """_reversed_phi(c), computed once per monic for u_c and the powers
+        1 < l < q; at q = 2 there are no such powers, so nothing is kept."""
+        rphi = self._rphi.get(c.coeffs)
+        if rphi is None:
+            rphi = _reversed_phi(c)
+            if self.field.q > 2:
+                self._rphi[c.coeffs] = rphi
+        return rphi
 
     def a_expansion(self, power, coefficient_of):
         """sum over monic c of coefficient_of(c) * u_c**power, modulo u**prec.
@@ -155,31 +166,15 @@ class FormCatalog:
         Comparing coefficients of u**n gives
             x_n = sum_k g_(n - kq) tau(x_k) + sum_k D_(n - kq**2) tau**2(x_k),
         and for n >= 1 every x_k on the right has k <= n / q < n, so one
-        pass in increasing n solves it.  tau(x_k) and tau**2(x_k) are twisted
-        once, when x_k is found.
+        relaxed solve in increasing n gives it: each nonzero x_k is twisted
+        once and pushed to the exponents kq + m and kq**2 + m it reaches.
         """
         field, prec, q = self.field, self.prec, self.field.q
-        g = self.g.coeffs
-        scaled_delta = self.delta.scale(t_minus_theta_pow(field, q)).coeffs
-        one = BiPoly.one(field)
-        x = {0: one}
-        twisted = [(0, one, one)]  # (k, tau(x_k), tau**2(x_k)) for nonzero x_k
-        for n in range(1, prec):
-            pairs = []
-            for k, tau1, tau2 in twisted:
-                if k * q > n:
-                    break
-                a = g.get(n - k * q)
-                if a is not None:
-                    pairs.append((a, tau1))
-                b = scaled_delta.get(n - k * q * q)
-                if b is not None:
-                    pairs.append((b, tau2))
-            xn = BiPoly.sum_of_products(field, pairs)
-            if not xn.is_zero:
-                x[n] = xn
-                twisted.append((n, xn.tau_twist(1), xn.tau_twist(2)))
-        return USeries(field, prec, x)
+        scaled_delta = self.delta.scale(t_minus_theta_pow(field, q))
+        rules = [(q, sorted(self.g.coeffs.items()), lambda x: x.tau_twist(1)),
+                 (q * q, sorted(scaled_delta.coeffs.items()), lambda x: x.tau_twist(2))]
+        return USeries._raw(field, prec, _relaxed_solve(
+            field, prec, {0: BiPoly.one(field)}, rules))
 
     # -- A-expansion families ------------------------------------------------------
 
@@ -277,29 +272,3 @@ class FormCatalog:
         report = compare_series(lhs, rhs)
         report.update({"identity": "conjecture-fs", "s": s, "q": self.field.q})
         return report
-
-
-# -- standalone constructors ----------------------------------------------------
-
-def eisenstein_g(field, prec):
-    return FormCatalog(field, prec).g
-
-
-def eisenstein_h(field, prec):
-    return FormCatalog(field, prec).h
-
-
-def delta(field, prec):
-    return FormCatalog(field, prec).delta
-
-
-def false_eisenstein(field, prec):
-    return FormCatalog(field, prec).e
-
-
-def ee_series(field, prec):
-    return FormCatalog(field, prec).ee
-
-
-def d2_fixed_point(field, prec):
-    return FormCatalog(field, prec).d2

@@ -257,16 +257,6 @@ def check_lvals(field, l, n):
     return lhs_num * rhs_den == rhs_num * lhs_den
 
 
-def check_lvals_monic(field, l, n):
-    """The equivalent relation for monic sums: pp(l, l, n) == pp(1, 1, n)**l."""
-    q = field.q
-    if not 1 <= l <= q:
-        raise ValueError(f"l must satisfy 1 <= l <= q, got {l}")
-    p1 = pellarin_partial(field, 1, 1, n)
-    pl = pellarin_partial(field, l, l, n)
-    return pl.num * (p1.den ** l).to_bipoly() == (p1.num ** l) * pl.den.to_bipoly()
-
-
 def stabilization_report(field, alpha, beta, n_max):
     """Degrees of consecutive partial-sum differences, reported not asserted.
 

@@ -16,6 +16,12 @@ truncating always reproduces lower-precision results bit for bit.
 The module also provides the twisted-polynomial coefficients of the rank
 one module phi with phi(theta) = theta + tau, and the exact expansions of
 u_c = 1 / phi_c(1/u) for monic c and of its powers u_c**l, 1 <= l <= q.
+
+Every triangular solve (the division by P_c behind u_c, USeries.inv and
+the d2 recurrence in forms) is one routine, _relaxed_solve.  It is
+relaxed: only reachable exponents are solved.  Each nonzero coefficient
+pushes its contributions forward when it is found, so an exponent that
+nothing reaches costs no coefficient product.
 """
 
 from functools import lru_cache
@@ -188,21 +194,19 @@ class USeries:
         return result.frobenius(v) if v else result
 
     def inv(self):
-        """Inverse of a series whose constant term is a nonzero F_q scalar."""
+        """Inverse of a series whose constant term is a nonzero F_q scalar.
+
+        One relaxed solve of b_n = -inv0 * sum_(k > 0) a_k b_(n - k)."""
         f = self.field
         c0 = self.coeffs.get(0)
         if c0 is None or c0.theta_degree() != 0 or c0.t_degree() != 0:
             raise ValueError("inverse requires a unit scalar constant term")
         inv0 = f.inv(c0.terms[(0, 0)])
-        a_items = sorted((n, c) for n, c in self.coeffs.items() if n > 0)
-        b = {0: BiPoly.scalar(f, inv0)}
         neg_inv0 = f.neg(inv0)
-        for n in range(1, self.prec):
-            acc = BiPoly.sum_of_products(
-                f, [(ak, b[n - k]) for k, ak in a_items if k <= n and n - k in b])
-            if not acc.is_zero:
-                b[n] = acc.scale(neg_inv0)
-        return USeries._raw(f, self.prec, {n: c for n, c in b.items() if not c.is_zero})
+        rule = (1, [(k, a.scale(neg_inv0)) for k, a in sorted(self.coeffs.items()) if k > 0],
+                None)
+        return USeries._raw(f, self.prec, _relaxed_solve(
+            f, self.prec, {0: BiPoly.scalar(f, inv0)}, [rule]))
 
     # -- Frobenius-type maps ----------------------------------------------------
 
@@ -346,67 +350,95 @@ def _reversed_phi(c):
                     for i in range(d) if not op.coeffs[i].is_zero]
 
 
+def _relaxed_solve(field, prec, seed, rules):
+    """The x_n, n < prec, of x_n = seed_n + contributions of the x_k with k < n.
+
+    seed maps exponents to coefficients.  Each rule (scale, offsets,
+    transform) says that x_k contributes a * transform(x_k) to
+    x_(k*scale + m) for every (m, a) in offsets, which must be sorted by m;
+    transform None means the identity.  The solve is relaxed: a nonzero x_k
+    pushes its pairs to the pending lists of the exponents it reaches, so
+    an exponent nobody reaches costs one dict lookup, and every other
+    exponent one BiPoly.sum_of_products.  A contribution lands only above
+    its source (k*scale + m > k): x_k is final once found, so the term of
+    x_0 in itself, such as g_0 tau(x_0) in the d2 recurrence, is left to
+    the seed.  Returns {n: x_n} for the nonzero x_n.
+    """
+    one = BiPoly.one(field)
+    pending = {n: [(one, c)] for n, c in seed.items() if n < prec}
+    x = {}
+    for n in range(min(pending, default=prec), prec):
+        pairs = pending.pop(n, None)
+        if pairs is None:
+            continue
+        xn = BiPoly.sum_of_products(field, pairs)
+        if xn.is_zero:
+            continue
+        x[n] = xn
+        for scale, offsets, transform in rules:
+            base = n * scale
+            if not offsets or base + offsets[0][0] >= prec:
+                continue
+            y = xn if transform is None else transform(xn)
+            for m, a in offsets:
+                j = base + m
+                if j >= prec:
+                    break
+                if j > n:
+                    dest = pending.get(j)
+                    if dest is None:
+                        pending[j] = [(a, y)]
+                    else:
+                        dest.append((a, y))
+    return x
+
+
 def _times_u_qd_over_pc(y, qd, terms):
     """y * u**(q**d) / P_c, kept at the precision of y.
 
-    One triangular division: P_c has constant term 1, so the quotient z
+    One relaxed division: P_c has constant term 1, so the quotient z
     satisfies z_n = y_(n - q**d) - sum [c, i] z_(n - q**d + q**i)."""
     field = y.field
-    one = BiPoly.one(field)
-    neg_terms = [(s, -a) for s, a in terms]
-    z = {}
-    for n in range(y.val() + qd, y.prec):
-        pairs = [(a, z[n - s]) for s, a in neg_terms if n - s in z]
-        yn = y.coeffs.get(n - qd)
-        if yn is not None:
-            pairs.append((one, yn))
-        zn = BiPoly.sum_of_products(field, pairs)
-        if not zn.is_zero:
-            z[n] = zn
-    return USeries._raw(field, y.prec, z)
+    rule = (1, sorted((s, -a) for s, a in terms), None)
+    return USeries._raw(field, y.prec, _relaxed_solve(
+        field, y.prec, {n + qd: c for n, c in y.coeffs.items()}, [rule]))
 
 
 def _times_pc_over_u_qd(y, qd, terms):
-    """y * P_c / u**(q**d) for y divisible by u**(q**d); precision drops by q**d.
-
-    Coefficientwise z_m = y_(m + q**d) + sum [c, i] y_(m + q**i)."""
+    """y * P_c / u**(q**d) for y divisible by u**(q**d); precision drops by q**d."""
     field = y.field
-    full = [(0, BiPoly.one(field))] + terms
-    z = {}
-    for m in range(y.val() - qd, y.prec - qd):
-        pairs = [(a, y.coeffs[m + qd - s]) for s, a in full if m + qd - s in y.coeffs]
-        zm = BiPoly.sum_of_products(field, pairs)
-        if not zm.is_zero:
-            z[m] = zm
-    return USeries._raw(field, y.prec - qd, z)
+    pc = USeries._raw(field, y.prec, {0: BiPoly.one(field), **dict(terms)})
+    return (y * pc).shift(-qd)
 
 
-def u_c_expansion(c, prec):
+def u_c_expansion(c, prec, reversed_phi=None):
     """Expansion of u_c = 1 / phi_c(1/u) for monic c, modulo u**prec.
 
-    With d = deg c this is u**(q**d) / P_c, one triangular division by
+    With d = deg c this is u**(q**d) / P_c, one relaxed division by
     the (d + 1)-term polynomial P_c; the leading term is u**(q**d) and all
-    coefficients stay in F_q[theta].
+    coefficients stay in F_q[theta].  reversed_phi is _reversed_phi(c),
+    when the caller already has it.
     """
     if prec <= 0:
         raise PrecisionError("u_c requires positive precision")
-    qd, terms = _reversed_phi(c)
+    qd, terms = reversed_phi or _reversed_phi(c)
     return _times_u_qd_over_pc(USeries.one(c.field, prec), qd, terms)
 
 
-def u_c_power(uc, c, l):
+def u_c_power(uc, c, l, reversed_phi=None):
     """u_c**l for 1 <= l <= q, at the precision of uc = u_c_expansion(c, prec).
 
     Walks up from u_c, u_c**(j+1) = u_c**j u**(q**d) / P_c, or down from the
     free Frobenius image u_c**q, u_c**(j-1) = u_c**j P_c / u**(q**d),
-    whichever takes fewer steps: min(l - 1, q - l).  Each step costs d + 1
-    coefficient products per output coefficient, where a dense series
-    product costs one per pair of coefficients.
+    whichever takes fewer steps: min(l - 1, q - l).  Each step costs at most
+    d + 1 coefficient products per output coefficient, where a dense series
+    product costs one per pair of coefficients.  reversed_phi is as in
+    u_c_expansion.
     """
     field, prec, q = uc.field, uc.prec, uc.field.q
     if not 1 <= l <= q:
         raise ValueError(f"u_c_power needs 1 <= l <= q, got {l}")
-    qd, terms = _reversed_phi(c)
+    qd, terms = reversed_phi or _reversed_phi(c)
     if l * qd >= prec:
         return USeries.zero(field, prec)
     if l - 1 <= q - l:

@@ -78,11 +78,6 @@ def g1k_shadowed(catalog, k):
     return -total
 
 
-def d2_shadowed(catalog, k):
-    """The order-k closed-form approximation of d2 (equals -G_k)."""
-    return -g1k_shadowed(catalog, k)
-
-
 def check_d2_approx(catalog, k):
     """Certify that d2 + G_k has u-adic valuation >= q**(k-1) (q-1)."""
     if k < 1:

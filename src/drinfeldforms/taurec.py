@@ -16,7 +16,7 @@ determinant is (ad - bc)**((l*l + l) // 2).
 
 from .errors import PrecisionError
 from .forms import t_minus_theta_pow
-from .polynomials import BiPoly, lucas_binom
+from .polynomials import BiPoly
 from .series import USeries
 from .shadowed import g1k_shadowed
 
@@ -142,40 +142,38 @@ def g_sequence(catalog, l, k_max):
     return TauSequence(entries)
 
 
+def _binomial_rows(x, y, l):
+    """Coefficient lists of (x + y Z)**m for m = 0..l.  Entry j of row m is
+    x * row_(m-1)[j] + y * row_(m-1)[j-1] (Pascal's rule, so the binomials
+    come out reduced mod p): one sum_of_products per entry."""
+    field = x.field
+    zero = BiPoly.zero(field)
+    rows = [[BiPoly.one(field)]]
+    for _ in range(l):
+        prev = rows[-1]
+        rows.append([BiPoly.sum_of_products(field, [(x, hi), (y, lo)])
+                     for lo, hi in zip([zero] + prev, prev + [zero])])
+    return rows
+
+
 def sym_power_matrix(a, b, c, d, l):
     """Degree-l symmetric power of [[a, b], [c, d]] over F_q[theta, t].
 
     Basis X**l, X**(l-1) Y, ..., Y**l; entry (r, s) is the coefficient of
-    X**(l-r) Y**r in (a X + c Y)**(l-s) (b X + d Y)**s, with binomials
-    reduced mod p.  Multiplicative, with determinant
+    X**(l-r) Y**r in (a X + c Y)**(l-s) (b X + d Y)**s, that is of Z**r in
+    (a + c Z)**(l-s) (b + d Z)**s: one sum_of_products over the binomial
+    rows of the two factors.  Multiplicative, with determinant
     (a d - b c)**((l*l + l) // 2).
     """
     if l < 1:
         raise ValueError("l must be >= 1")
     field = a.field
-    p = field.p
-    pows = {}
-    for name, poly in (("a", a), ("b", b), ("c", c), ("d", d)):
-        row = [BiPoly.one(field)]
-        for _ in range(l):
-            row.append(row[-1] * poly)
-        pows[name] = row
-    matrix = []
-    for r in range(l + 1):
-        row = []
-        for s in range(l + 1):
-            pairs = []
-            for j in range(max(0, l - r - s), min(l - s, l - r) + 1):
-                coef = (lucas_binom(l - s, j, p)
-                        * lucas_binom(s, l - r - j, p)) % p
-                if not coef:
-                    continue
-                left = pows["a"][j] * pows["c"][l - s - j]
-                right = pows["b"][l - r - j] * pows["d"][s - l + r + j]
-                pairs.append((left, right.scale(field.scalar(coef))))
-            row.append(BiPoly.sum_of_products(field, pairs))
-        matrix.append(row)
-    return matrix
+    left = _binomial_rows(a, c, l)
+    right = _binomial_rows(b, d, l)
+    return [[BiPoly.sum_of_products(field, [(left[l - s][j], right[s][r - j])
+                                            for j in range(max(0, r - s), min(l - s, r) + 1)])
+             for s in range(l + 1)]
+            for r in range(l + 1)]
 
 
 def matrix_det(matrix):

@@ -1,0 +1,204 @@
+"""The relaxed solver behind u_c division, USeries.inv and d2, against the
+dense index loops it replaced (kept here as references)."""
+
+import random
+
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from drinfeldforms import polynomials
+from drinfeldforms.fields import finite_field
+from drinfeldforms.forms import FormCatalog, t_minus_theta_pow
+from drinfeldforms.polynomials import BiPoly, UniPoly, enumerate_monic
+from drinfeldforms.series import (USeries, _relaxed_solve, _reversed_phi,
+                                  _times_pc_over_u_qd, _times_u_qd_over_pc)
+
+FIELDS = [finite_field(2), finite_field(3), finite_field(2, 2), finite_field(5),
+          finite_field(7)]
+FIELD_IDS = [f"F{f.q}" for f in FIELDS]
+
+
+# -- dense references: one kernel call per exponent below the precision -------------------
+
+
+def times_u_qd_over_pc_reference(y, qd, terms):
+    field = y.field
+    one = BiPoly.one(field)
+    neg_terms = [(s, -a) for s, a in terms]
+    z = {}
+    for n in range(y.val() + qd, y.prec):
+        pairs = [(a, z[n - s]) for s, a in neg_terms if n - s in z]
+        yn = y.coeffs.get(n - qd)
+        if yn is not None:
+            pairs.append((one, yn))
+        zn = BiPoly.sum_of_products(field, pairs)
+        if not zn.is_zero:
+            z[n] = zn
+    return USeries(field, y.prec, z)
+
+
+def times_pc_over_u_qd_reference(y, qd, terms):
+    field = y.field
+    full = [(0, BiPoly.one(field))] + terms
+    z = {}
+    for m in range(y.val() - qd, y.prec - qd):
+        pairs = [(a, y.coeffs[m + qd - s]) for s, a in full if m + qd - s in y.coeffs]
+        zm = BiPoly.sum_of_products(field, pairs)
+        if not zm.is_zero:
+            z[m] = zm
+    return USeries(field, y.prec - qd, z)
+
+
+def inv_reference(y):
+    f = y.field
+    inv0 = f.inv(y.coeffs[0].terms[(0, 0)])
+    a_items = sorted((n, c) for n, c in y.coeffs.items() if n > 0)
+    b = {0: BiPoly.scalar(f, inv0)}
+    for n in range(1, y.prec):
+        acc = BiPoly.sum_of_products(
+            f, [(ak, b[n - k]) for k, ak in a_items if k <= n and n - k in b])
+        if not acc.is_zero:
+            b[n] = acc.scale(f.neg(inv0))
+    return USeries(f, y.prec, b)
+
+
+def d2_reference(cat):
+    field, prec, q = cat.field, cat.prec, cat.field.q
+    g = cat.g.coeffs
+    scaled_delta = cat.delta.scale(t_minus_theta_pow(field, q)).coeffs
+    one = BiPoly.one(field)
+    x = {0: one}
+    twisted = [(0, one, one)]
+    for n in range(1, prec):
+        pairs = []
+        for k, tau1, tau2 in twisted:
+            if k * q > n:
+                break
+            a = g.get(n - k * q)
+            if a is not None:
+                pairs.append((a, tau1))
+            b = scaled_delta.get(n - k * q * q)
+            if b is not None:
+                pairs.append((b, tau2))
+        xn = BiPoly.sum_of_products(field, pairs)
+        if not xn.is_zero:
+            x[n] = xn
+            twisted.append((n, xn.tau_twist(1), xn.tau_twist(2)))
+    return USeries(field, prec, x)
+
+
+# -- random inputs ------------------------------------------------------------------------
+
+
+def rand_coeff(field, rng):
+    out = BiPoly(field, {(rng.randrange(3), rng.randrange(3)): rng.randrange(1, field.q)
+                         for _ in range(rng.randrange(1, 4))})
+    return out if not out.is_zero else BiPoly.one(field)
+
+
+def rand_series(field, rng, prec, val, density):
+    """A series with valuation val (when val < prec) and gaps elsewhere."""
+    coeffs = {n: rand_coeff(field, rng) for n in range(val + 1, prec) if rng.random() < density}
+    if val < prec:
+        coeffs[val] = rand_coeff(field, rng)
+    return USeries(field, prec, coeffs)
+
+
+def rand_monic(field, rng, d):
+    return UniPoly(field, [rng.randrange(field.q) for _ in range(d)] + [1])
+
+
+series_cases = dict(field=st.sampled_from(FIELDS), seed=st.integers(0, 2 ** 32 - 1),
+                    prec=st.integers(1, 40), density=st.sampled_from([0.1, 0.4, 1.0]))
+
+
+@settings(max_examples=60)
+@given(val=st.integers(0, 12), d=st.integers(0, 3), **series_cases)
+def test_u_c_up_step_matches_dense_loop(field, seed, prec, density, val, d):
+    rng = random.Random(seed)
+    qd, terms = _reversed_phi(rand_monic(field, rng, d))
+    y2 = rand_series(field, rng, 2 * prec, val, density)
+    y = y2.truncate(prec)
+    assert _times_u_qd_over_pc(y, qd, terms) == times_u_qd_over_pc_reference(y, qd, terms)
+    assert _times_u_qd_over_pc(y2, qd, terms).truncate(prec) == _times_u_qd_over_pc(y, qd, terms)
+
+
+@settings(max_examples=60)
+@given(extra=st.integers(0, 12), d=st.integers(0, 3), **series_cases)
+def test_u_c_down_step_matches_dense_loop(field, seed, prec, density, extra, d):
+    rng = random.Random(seed)
+    qd, terms = _reversed_phi(rand_monic(field, rng, d))
+    prec += qd
+    y2 = rand_series(field, rng, 2 * prec, qd + extra, density)
+    y = y2.truncate(prec)
+    z = _times_pc_over_u_qd(y, qd, terms)
+    assert z == times_pc_over_u_qd_reference(y, qd, terms)
+    assert _times_pc_over_u_qd(y2, qd, terms).truncate(prec - qd) == z
+
+
+@settings(max_examples=60)
+@given(**series_cases)
+def test_inv_matches_dense_loop(field, seed, prec, density):
+    rng = random.Random(seed)
+    y2 = rand_series(field, rng, 2 * prec, 1, density) + USeries.from_terms(
+        field, 2 * prec, {0: rng.randrange(1, field.q)})
+    y = y2.truncate(prec)
+    assert y.inv() == inv_reference(y)
+    assert y2.inv().truncate(prec) == y.inv()
+
+
+@pytest.mark.parametrize("field", FIELDS, ids=FIELD_IDS)
+@settings(max_examples=6)
+@given(prec=st.integers(1, 60))
+def test_d2_matches_dense_loop(field, prec):
+    cat = FormCatalog(field, prec)
+    assert cat.d2 == d2_reference(cat)
+    assert FormCatalog(field, 2 * prec).d2.truncate(prec) == cat.d2
+
+
+# -- the solver itself --------------------------------------------------------------------
+
+
+def test_contribution_landing_on_its_source_is_left_to_the_seed():
+    # x_n = x_(n/2) [n even] + x_((n-1)/2) [n odd], from x_0 = 1: the offset-0
+    # rule lands x_0 on itself, which must neither loop nor change x_0
+    field = finite_field(2)
+    one = BiPoly.one(field)
+    x = _relaxed_solve(field, 40, {0: one}, [(2, [(0, one), (1, one)], None)])
+    assert x == {n: one for n in range(40)}
+
+
+def test_transforms_run_once_per_found_coefficient():
+    field = finite_field(3)
+    one = BiPoly.one(field)
+    seen = []
+
+    def transform(x):
+        seen.append(x)
+        return x
+
+    # x_n = seed_n + x_(n-1) + x_(n-2): both offsets share one transform
+    x = _relaxed_solve(field, 20, {0: one}, [(1, [(1, one), (2, one)], transform)])
+    assert len(seen) == len([n for n in x if n + 1 < 20])
+
+
+def test_unreached_exponents_make_no_kernel_call(monkeypatch):
+    # every degree-7 monic over F_2 at precision 256: u_c = u**128 / P_c has
+    # 8 nonzero coefficients, where a dense loop makes one call per exponent
+    field, prec = finite_field(2), 256
+    calls = []
+    kernel = polynomials._product_sum
+
+    def counted(*args, **kwargs):
+        calls.append(1)
+        return kernel(*args, **kwargs)
+
+    for c in enumerate_monic(field, 7):
+        qd, terms = _reversed_phi(c)
+        calls.clear()
+        monkeypatch.setattr(polynomials, "_product_sum", counted)
+        uc = _times_u_qd_over_pc(USeries.one(field, prec), qd, terms)
+        monkeypatch.setattr(polynomials, "_product_sum", kernel)
+        reached = {qd} | {n + s for n in uc.coeffs for s, _ in terms if n + s < prec}
+        assert len(calls) == len(reached) == 8

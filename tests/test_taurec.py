@@ -4,7 +4,7 @@ import pytest
 
 from drinfeldforms.fields import finite_field
 from drinfeldforms.forms import FormCatalog
-from drinfeldforms.polynomials import BiPoly
+from drinfeldforms.polynomials import BiPoly, lucas_binom
 from drinfeldforms.series import USeries
 from drinfeldforms.shadowed import g1k_shadowed
 from drinfeldforms.taurec import (TauOperator, TauSequence, g_sequence,
@@ -13,6 +13,7 @@ from drinfeldforms.taurec import (TauOperator, TauSequence, g_sequence,
 
 F2 = finite_field(2)
 F3 = finite_field(3)
+F4 = finite_field(2, 2)
 F5 = finite_field(5)
 
 
@@ -160,6 +161,46 @@ def test_sym_power_multiplicative(l):
             for k in range(l + 1):
                 entry = entry + m[i][k] * n[k][j]
             assert entry == mn[i][j]
+
+
+def sym_power_reference(a, b, c, d, l):
+    """The entry-by-entry triple loop: entry (r, s) sums, over j,
+    C(l-s, j) C(s, l-r-j) a**j c**(l-s-j) b**(l-r-j) d**(s-l+r+j), with
+    Lucas binomials mod p."""
+    field = a.field
+    p = field.p
+    pows = {}
+    for name, poly in (("a", a), ("b", b), ("c", c), ("d", d)):
+        row = [BiPoly.one(field)]
+        for _ in range(l):
+            row.append(row[-1] * poly)
+        pows[name] = row
+    matrix = []
+    for r in range(l + 1):
+        row = []
+        for s in range(l + 1):
+            entry = BiPoly.zero(field)
+            for j in range(max(0, l - r - s), min(l - s, l - r) + 1):
+                coef = (lucas_binom(l - s, j, p) * lucas_binom(s, l - r - j, p)) % p
+                if coef:
+                    left = pows["a"][j] * pows["c"][l - s - j]
+                    right = pows["b"][l - r - j] * pows["d"][s - l + r + j]
+                    entry = entry + (left * right).scale(field.scalar(coef))
+            row.append(entry)
+        matrix.append(row)
+    return matrix
+
+
+@pytest.mark.parametrize("field", [F3, F4, F5])
+def test_sym_power_matches_triple_loop_reference(field):
+    rng = random.Random(200 + field.q)
+    zero = BiPoly.zero(field)
+    for l in range(1, 7):
+        for trial in range(3):
+            a, b, c, d = (rand_bipoly(field, rng) for _ in range(4))
+            if trial == 2:
+                b = zero  # a zero corner leaves zero binomial rows
+            assert sym_power_matrix(a, b, c, d, l) == sym_power_reference(a, b, c, d, l)
 
 
 def test_sym_power_rejects_bad_l():
