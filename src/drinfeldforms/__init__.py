@@ -10,14 +10,11 @@ character-sum lemmas over F_q.
 
 from .errors import PrecisionError, ResourceLimitError
 from .fields import FiniteField, canonical_modulus, extension_field, finite_field
-from .forms import (EE_FROM_H_TAU_D2_SIGN, FormCatalog, bracket_twisted,
-                    t_minus_theta_pow)
+from .forms import FormCatalog, bracket_twisted, t_minus_theta_pow
 from .identities import (BruteForceInstance, PartialLValue, check_lvals,
                          goss_degenerate_check, lemma1_check, lemma2_check,
-                         lemma3_bruteforce, pellarin_partial,
-                         stabilization_report)
-from .polynomials import (BiPoly, UniPoly, enumerate_monic, lucas_binom,
-                          monic_below, poly_gcd)
+                         lemma3_bruteforce, pellarin_partial)
+from .polynomials import BiPoly, UniPoly, enumerate_monic, monic_below
 from .series import CarlitzOperator, USeries, carlitz_phi, u_c_expansion
 from .shadowed import (check_d2_approx, enumerate_shadowed, g1k_shadowed,
                        is_shadowed_partition)
@@ -27,14 +24,13 @@ from .taurec import (TauOperator, TauSequence, g_sequence, matrix_det,
 __version__ = "0.1.0"
 
 __all__ = [
-    "BiPoly", "BruteForceInstance", "CarlitzOperator", "EE_FROM_H_TAU_D2_SIGN",
-    "FiniteField", "FormCatalog", "PartialLValue", "PrecisionError",
-    "ResourceLimitError", "TauOperator", "TauSequence", "UniPoly", "USeries",
-    "bracket_twisted", "canonical_modulus", "carlitz_phi", "check_d2_approx",
-    "check_lvals", "enumerate_monic", "enumerate_shadowed", "extension_field",
-    "finite_field", "g1k_shadowed", "g_sequence", "goss_degenerate_check",
-    "is_shadowed_partition", "lemma1_check", "lemma2_check", "lemma3_bruteforce",
-    "lucas_binom", "matrix_det", "monic_below", "operator_l1", "operator_l2",
-    "pellarin_partial", "poly_gcd", "stabilization_report", "sym_power_matrix",
-    "t_minus_theta_pow", "u_c_expansion",
+    "BiPoly", "BruteForceInstance", "CarlitzOperator", "FiniteField", "FormCatalog",
+    "PartialLValue", "PrecisionError", "ResourceLimitError", "TauOperator",
+    "TauSequence", "UniPoly", "USeries", "bracket_twisted", "canonical_modulus",
+    "carlitz_phi", "check_d2_approx", "check_lvals", "enumerate_monic",
+    "enumerate_shadowed", "extension_field", "finite_field", "g1k_shadowed",
+    "g_sequence", "goss_degenerate_check", "is_shadowed_partition", "lemma1_check",
+    "lemma2_check", "lemma3_bruteforce", "matrix_det", "monic_below", "operator_l1",
+    "operator_l2", "pellarin_partial", "sym_power_matrix", "t_minus_theta_pow",
+    "u_c_expansion",
 ]

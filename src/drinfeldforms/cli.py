@@ -19,24 +19,19 @@ import sys
 
 from .errors import PrecisionError, ResourceLimitError
 from .fields import finite_field
-from .polynomials import BiPoly
 from .forms import FormCatalog
-from .identities import (BruteForceInstance, check_lvals, goss_degenerate_check,
-                         lemma1_check, lemma2_check, lemma3_bruteforce,
-                         pellarin_partial)
+from .identities import (check_lvals, goss_degenerate_check, lemma1_check,
+                         lemma2_check, lemma3_trials, pellarin_partial)
 from .serialize import (bipoly_tsv_rows, canonical_json, lvalue_to_obj,
                         useries_to_obj, useries_tsv_rows)
-from .shadowed import check_d2_approx, enumerate_shadowed, is_shadowed_partition
-from .taurec import (TauSequence, g_sequence, matrix_det, operator_l1,
-                     operator_l2, sym_power_matrix)
+from .shadowed import check_d2_approx, partition_counts
+from .taurec import TauSequence, g_sequence, operator_l1, operator_l2, sym_det_trials
 
 USAGE_EXIT = 2
 RESOURCE_EXIT = 3
 
-CHECK_TARGETS = ("lemma1", "lemma2", "lemma3", "goss-degenerate", "lvals",
-                 "e-power", "f-power", "d2-approx", "recurrence-l1",
-                 "recurrence-l2", "sym-det", "partitions")
-EXPERIMENT_NAMES = ("conjecture-fs", "resolve-recursive", "ee-power-beyond-q")
+# expand --form NAME reads this FormCatalog attribute (and --form f is f_l_nu)
+FORMS = {"g": "g", "h": "h", "delta": "delta", "E": "e", "d2": "d2", "EE": "ee"}
 
 
 def build_parser():
@@ -61,14 +56,13 @@ def build_parser():
 
     p_expand = sub.add_parser("expand", parents=[common],
                               help="print one truncated u-expansion")
-    p_expand.add_argument("--form", required=True,
-                          choices=("g", "h", "delta", "E", "d2", "EE", "f"))
+    p_expand.add_argument("--form", required=True, choices=(*FORMS, "f"))
     p_expand.add_argument("--l", type=str, default=None)
     p_expand.add_argument("--nu", type=int, default=None)
 
     p_check = sub.add_parser("check", parents=[common],
                              help="verify identities; exit 1 on failure")
-    p_check.add_argument("--identity", required=True, choices=CHECK_TARGETS)
+    p_check.add_argument("--identity", required=True, choices=CHECKS)
     p_check.add_argument("--l", type=str, default=None)
     p_check.add_argument("--nu", type=int, default=None)
     p_check.add_argument("--n", type=int, default=None)
@@ -77,7 +71,7 @@ def build_parser():
 
     p_exp = sub.add_parser("experiment", parents=[common],
                            help="run a reported (non-asserted) comparison")
-    p_exp.add_argument("--name", required=True, choices=EXPERIMENT_NAMES)
+    p_exp.add_argument("--name", required=True, choices=EXPERIMENTS)
     p_exp.add_argument("--l", type=str, default=None)
     p_exp.add_argument("--nu", type=int, default=None)
     p_exp.add_argument("--s", type=str, default=None,
@@ -175,8 +169,8 @@ def _report_rows(reports):
         label = r.get("check") or r.get("identity") or "check"
         params = ",".join(f"{k}={r[k]}" for k in sorted(r)
                           if k not in ("check", "identity", "pass", "equal",
-                                       "first_difference", "ok"))
-        status = r.get("pass", r.get("ok", r.get("equal")))
+                                       "first_difference"))
+        status = r.get("pass", r.get("equal"))
         witness = r.get("first_difference")
         rows.append("\t".join([label, params, str(status), str(witness)]))
     return rows
@@ -195,9 +189,7 @@ def cmd_expand(args):
         series = catalog.f_l_nu(l, args.nu)
         extra = {"form": "f", "l": l, "nu": args.nu}
     else:
-        series = {"g": lambda: catalog.g, "h": lambda: catalog.h,
-                  "delta": lambda: catalog.delta, "E": lambda: catalog.e,
-                  "d2": lambda: catalog.d2, "EE": lambda: catalog.ee}[args.form]()
+        series = getattr(catalog, FORMS[args.form])
         extra = {"form": args.form}
     _enforce_tcap(args, [series])
     header = _header(args, field, extra)
@@ -211,140 +203,131 @@ def cmd_expand(args):
 # -- check ------------------------------------------------------------------------
 
 
-def _tiling_counts(n_max):
-    counts = [1, 1]
-    while len(counts) <= n_max:
-        counts.append(counts[-1] + counts[-2])
-    return counts
+def _given(value, default):
+    return default if value is None else value
 
 
-def _run_check(args, field):
-    q = field.q
-    identity = args.identity
+def _l_values(args, q):
+    """--l inside the asserted range 1..q; all of it when not given."""
+    if args.l is None:
+        return list(range(1, q + 1))
+    values = _parse_values(args.l, q)
+    for l in values:
+        if not 1 <= l <= q:
+            raise ValueError(f"l={l} outside the asserted range 1..{q}")
+    return values
+
+
+# Each check returns its report rows; cmd_check adds "check" to every row.
+
+
+def _check_lemma1(args, field):
+    return [{"q": field.q, "pass": lemma1_check(field)}]
+
+
+def _check_lemma2(args, field):
+    return [{"q": field.q, "l": l, "pass": lemma2_check(field, l)}
+            for l in _l_values(args, field.q)]
+
+
+def _check_goss_degenerate(args, field):
+    return [{"q": field.q, "l": l, "pass": goss_degenerate_check(field, l)}
+            for l in _l_values(args, field.q)]
+
+
+def _check_lemma3(args, field):
+    n, trials = _given(args.n, 2), _given(args.trials, 20)
+    rng = random.Random(args.seed)
+    return [{"q": field.q, "n": n, "l": l, "trials": trials,
+             "pass": lemma3_trials(field, n, l, trials, rng)}
+            for l in _l_values(args, field.q)]
+
+
+def _check_lvals(args, field):
+    n = _given(args.n, 3)
+    return [{"q": field.q, "l": l, "n": n, "pass": check_lvals(field, l, n)}
+            for l in _l_values(args, field.q)]
+
+
+def _check_e_power(args, field):
+    catalog = FormCatalog(field, args.uprec)
     reports = []
-
-    def l_values(bound=q):
-        if args.l is not None:
-            values = _parse_values(args.l, q)
-            for l in values:
-                if not 1 <= l <= bound:
-                    raise ValueError(f"l={l} outside the asserted range 1..{bound}")
-            return values
-        return list(range(1, bound + 1))
-
-    if identity == "lemma1":
-        reports.append({"check": "lemma1", "q": q, "pass": lemma1_check(field)})
-    elif identity == "lemma2":
-        for l in l_values():
-            reports.append({"check": "lemma2", "q": q, "l": l,
-                            "pass": lemma2_check(field, l)})
-    elif identity == "goss-degenerate":
-        for l in l_values():
-            reports.append({"check": "goss-degenerate", "q": q, "l": l,
-                            "pass": goss_degenerate_check(field, l)})
-    elif identity == "lemma3":
-        n = args.n if args.n is not None else 2
-        trials = args.trials if args.trials is not None else 20
-        rng = random.Random(args.seed)
-        for l in l_values():
-            ok = True
-            for _ in range(trials):
-                inst = BruteForceInstance.random(field, n, l, rng=rng, m=max(4, n))
-                if not lemma3_bruteforce(inst):
-                    ok = False
-                    break
-            reports.append({"check": "lemma3", "q": q, "n": n, "l": l,
-                            "trials": trials, "pass": ok})
-    elif identity == "lvals":
-        n = args.n if args.n is not None else 3
-        for l in l_values():
-            reports.append({"check": "lvals", "q": q, "l": l, "n": n,
-                            "pass": check_lvals(field, l, n)})
-    elif identity == "e-power":
-        catalog = FormCatalog(field, args.uprec)
-        for l in l_values():
-            r = catalog.check_ee_power(l)
-            reports.append({"check": "e-power", "q": q, "l": l,
-                            "first_difference": r["first_difference"],
-                            "pass": r["equal"]})
-    elif identity == "f-power":
-        catalog = FormCatalog(field, args.uprec)
-        nus = [args.nu] if args.nu is not None else [1, 2]
-        for l in l_values():
-            for nu in nus:
-                r = catalog.check_f_power(l, nu)
-                reports.append({"check": "f-power", "q": q, "l": l, "nu": nu,
-                                "first_difference": r["first_difference"],
-                                "pass": r["equal"]})
-    elif identity == "d2-approx":
-        catalog = FormCatalog(field, args.uprec)
-        if args.k is not None:
-            ks = [args.k]
-        else:
-            ks = []
-            k = 1
-            while q ** (k - 1) * (q - 1) < args.uprec and k <= 4:
-                ks.append(k)
-                k += 1
-        for k in ks:
-            r = check_d2_approx(catalog, k)
-            reports.append({"check": "d2-approx", "q": q, "k": k,
-                            "required_valuation": r["required_valuation"],
-                            "observed_valuation": r["observed_valuation"],
-                            "pass": r["ok"]})
-    elif identity in ("recurrence-l1", "recurrence-l2"):
-        catalog = FormCatalog(field, args.uprec)
-        k_max = args.k if args.k is not None else 5
-        if identity == "recurrence-l1":
-            op = operator_l1(catalog)
-            image = op.apply(TauSequence.constant(catalog.d2, k_max))
-            ok = all(series.is_zero for _, series in image.items())
-            reports.append({"check": "recurrence-l1", "q": q, "sequence": "d2",
-                            "k_max": k_max, "pass": ok})
-            seq = g_sequence(catalog, 1, k_max)
-        else:
-            op = operator_l2(catalog)
-            seq = g_sequence(catalog, 2, k_max)
-        image = op.apply(seq)
-        ok = all(series.is_zero for _, series in image.items())
-        reports.append({"check": identity, "q": q, "sequence": "closed-form",
-                        "k_max": k_max, "pass": ok})
-    elif identity == "sym-det":
-        trials = args.trials if args.trials is not None else 50
-        rng = random.Random(args.seed)
-        ls = _parse_values(args.l, q) if args.l is not None else [1, 2, 3, 4]
-
-        def random_poly():
-            terms = {}
-            for _ in range(rng.randrange(1, 4)):
-                terms[(rng.randrange(3), rng.randrange(3))] = rng.randrange(1, field.q)
-            return BiPoly(field, terms)
-
-        for l in ls:
-            ok = True
-            for _ in range(trials):
-                a, b, c, d = (random_poly() for _ in range(4))
-                det = matrix_det(sym_power_matrix(a, b, c, d, l))
-                if det != (a * d - b * c) ** ((l * l + l) // 2):
-                    ok = False
-                    break
-            reports.append({"check": "sym-det", "q": q, "l": l,
-                            "trials": trials, "pass": ok})
-    elif identity == "partitions":
-        n_max = args.n if args.n is not None else 12
-        counts = _tiling_counts(n_max)
-        for n in range(n_max + 1):
-            parts = enumerate_shadowed(2, n)
-            ok = (len(parts) == counts[n]
-                  and all(is_shadowed_partition(pt, n) for pt in parts))
-            reports.append({"check": "partitions", "n": n,
-                            "count": len(parts), "pass": ok})
+    for l in _l_values(args, field.q):
+        r = catalog.check_ee_power(l)
+        reports.append({"q": field.q, "l": l, "first_difference": r["first_difference"],
+                        "pass": r["equal"]})
     return reports
+
+
+def _check_f_power(args, field):
+    catalog = FormCatalog(field, args.uprec)
+    reports = []
+    for l in _l_values(args, field.q):
+        for nu in [args.nu] if args.nu is not None else [1, 2]:
+            r = catalog.check_f_power(l, nu)
+            reports.append({"q": field.q, "l": l, "nu": nu,
+                            "first_difference": r["first_difference"], "pass": r["equal"]})
+    return reports
+
+
+def _check_d2_approx(args, field):
+    catalog = FormCatalog(field, args.uprec)
+    q = field.q
+    if args.k is not None:
+        ks = [args.k]
+    else:
+        # every k <= 4 the precision certifies; k = 1 always, so that a
+        # precision too small for any k exits 3 instead of certifying nothing
+        ks = [1]
+        while len(ks) < 4 and q ** len(ks) * (q - 1) < args.uprec:
+            ks.append(len(ks) + 1)
+    return [check_d2_approx(catalog, k) for k in ks]
+
+
+def _check_recurrence_l1(args, field):
+    catalog = FormCatalog(field, args.uprec)
+    k_max = _given(args.k, 5)
+    op = operator_l1(catalog)
+    constant = op.annihilates(TauSequence.constant(catalog.d2, k_max), catalog.prec)
+    closed_form = op.annihilates(g_sequence(catalog, 1, k_max), catalog.prec)
+    return [{"q": field.q, "sequence": "d2", "k_max": k_max, "pass": constant},
+            {"q": field.q, "sequence": "closed-form", "k_max": k_max, "pass": closed_form}]
+
+
+def _check_recurrence_l2(args, field):
+    catalog = FormCatalog(field, args.uprec)
+    k_max = _given(args.k, 5)
+    op = operator_l2(catalog)
+    return [{"q": field.q, "sequence": "closed-form", "k_max": k_max,
+             "pass": op.annihilates(g_sequence(catalog, 2, k_max), catalog.prec)}]
+
+
+def _check_sym_det(args, field):
+    trials = _given(args.trials, 50)
+    rng = random.Random(args.seed)
+    ls = _parse_values(args.l, field.q) if args.l is not None else [1, 2, 3, 4]
+    return [{"q": field.q, "l": l, "trials": trials,
+             "pass": sym_det_trials(field, l, trials, rng)} for l in ls]
+
+
+def _check_partitions(args, field):
+    return [{"n": n, "count": count, "pass": ok}
+            for n, count, ok in partition_counts(_given(args.n, 12))]
+
+
+CHECKS = {"lemma1": _check_lemma1, "lemma2": _check_lemma2, "lemma3": _check_lemma3,
+          "goss-degenerate": _check_goss_degenerate, "lvals": _check_lvals,
+          "e-power": _check_e_power, "f-power": _check_f_power,
+          "d2-approx": _check_d2_approx, "recurrence-l1": _check_recurrence_l1,
+          "recurrence-l2": _check_recurrence_l2, "sym-det": _check_sym_det,
+          "partitions": _check_partitions}
 
 
 def cmd_check(args):
     field = _build_field(args)
-    reports = _run_check(args, field)
+    reports = [{"check": args.identity, **r} for r in CHECKS[args.identity](args, field)]
+    if not reports:
+        raise ValueError("the parameters select nothing to check")
     all_pass = all(r["pass"] for r in reports)
     header = _header(args, field, {"identity": args.identity})
     if args.format == "tsv":
@@ -355,36 +338,38 @@ def cmd_check(args):
 
 
 # -- experiment ----------------------------------------------------------------------
+# Each experiment returns its report rows and the header entries it adds.
+
+
+def _experiment_conjecture_fs(args, catalog):
+    q = catalog.field.q
+    s_values = _parse_values(args.s, q) if args.s is not None else list(range(1, q + 1))
+    return ([{"identity": "conjecture-fs", "s": s, **catalog.conjecture_fs(s)}
+             for s in s_values], {"s": s_values})
+
+
+def _experiment_resolve_recursive(args, catalog):
+    nu = _given(args.nu, 3)
+    r = catalog.resolve_recursive(nu)
+    return r["candidates"], {"nu": nu, "matching": r["matching"]}
+
+
+def _experiment_ee_power_beyond_q(args, catalog):
+    q = catalog.field.q
+    l = _parse_symbolic(args.l, q) if args.l is not None else q + 1
+    return [{"identity": "ee-power-beyond-q", "l": l, **catalog.check_ee_power(l)}], {"l": l}
+
+
+EXPERIMENTS = {"conjecture-fs": _experiment_conjecture_fs,
+               "resolve-recursive": _experiment_resolve_recursive,
+               "ee-power-beyond-q": _experiment_ee_power_beyond_q}
 
 
 def cmd_experiment(args):
     field = _build_field(args)
-    q = field.q
     catalog = FormCatalog(field, args.uprec)
-    name = args.name
-    if name == "conjecture-fs":
-        s_values = _parse_values(args.s, q) if args.s is not None else list(range(1, q + 1))
-        reports = []
-        for s in s_values:
-            r = catalog.conjecture_fs(s)
-            reports.append({"identity": "conjecture-fs", "s": s,
-                            "equal": r["equal"],
-                            "first_difference": r["first_difference"],
-                            "compared_precision": r["compared_precision"]})
-        extra = {"name": name, "s": s_values}
-    elif name == "resolve-recursive":
-        nu = args.nu if args.nu is not None else 3
-        r = catalog.resolve_recursive(nu)
-        reports = r["candidates"]
-        extra = {"name": name, "nu": nu, "matching": r["matching"]}
-    else:  # ee-power-beyond-q
-        l = _parse_symbolic(args.l, q) if args.l is not None else q + 1
-        r = catalog.check_ee_power(l)
-        reports = [{"identity": "ee-power-beyond-q", "l": l, "equal": r["equal"],
-                    "first_difference": r["first_difference"],
-                    "compared_precision": r["compared_precision"]}]
-        extra = {"name": name, "l": l}
-    header = _header(args, field, extra)
+    reports, extra = EXPERIMENTS[args.name](args, catalog)
+    header = _header(args, field, {"name": args.name, **extra})
     if args.format == "tsv":
         _emit(args, _tsv_document(header, _report_rows(reports)))
     else:
@@ -406,11 +391,7 @@ def cmd_lvalue(args):
             value.den.to_bipoly(), "den")
         _emit(args, _tsv_document(header, rows))
     else:
-        obj = lvalue_to_obj(value)
-        obj.pop("alpha"), obj.pop("beta"), obj.pop("n")
-        _emit(args, {"header": header,
-                     "result": {"alpha": args.alpha, "beta": args.beta,
-                                "n": args.n, "num": obj["num"], "den": obj["den"]}})
+        _emit(args, {"header": header, "result": lvalue_to_obj(value)})
     return 0
 
 

@@ -26,10 +26,6 @@ from .errors import PrecisionError
 from .polynomials import BiPoly, enumerate_monic
 from .series import USeries, _relaxed_solve, _reversed_phi, u_c_expansion, u_c_power
 
-# Empirically fixed sign s in ee = s * h * tau(d2).  The A-expansion
-# sum chi_t(c) u_c is the ground truth; a test pins this constant.
-EE_FROM_H_TAU_D2_SIGN = 1
-
 
 def t_minus_theta_pow(field, k):
     """The coefficient t - theta**k."""
@@ -208,9 +204,7 @@ class FormCatalog:
             raise ValueError("l must be >= 1")
         lhs = (self.ee ** l).truncate(self.prec)
         rhs = self.a_expansion(l, lambda c: c.chi_t() ** l)
-        report = compare_series(lhs, rhs)
-        report.update({"identity": "e-power", "l": l, "q": self.field.q})
-        return report
+        return compare_series(lhs, rhs)
 
     def check_f_power(self, l, nu):
         """Compare f_{1, nu}**l with f_{l, nu} (a theorem for 1 <= l <= q)."""
@@ -220,9 +214,7 @@ class FormCatalog:
         if nu < 1:
             raise ValueError("nu must be >= 1")
         lhs = (self.f_l_nu(1, nu) ** l).truncate(self.prec)
-        report = compare_series(lhs, self.f_l_nu(l, nu))
-        report.update({"identity": "f-power", "l": l, "nu": nu, "q": q})
-        return report
+        return compare_series(lhs, self.f_l_nu(l, nu))
 
     def divide_by_h_power(self, x, k):
         """Exact division by h**k via h = u * unit; raises if not divisible."""
@@ -258,8 +250,7 @@ class FormCatalog:
                     entry.update(compare_series(rhs, oracle))
                 candidates.append(entry)
         matching = [i for i, c in enumerate(candidates) if c["equal"]]
-        return {"identity": "resolve-recursive", "nu": nu, "q": q,
-                "prec": self.prec, "candidates": candidates, "matching": matching}
+        return {"candidates": candidates, "matching": matching}
 
     def conjecture_fs(self, s):
         """Compare f_s * d2 with sum chi_t(c) c**(s(q-1)) u_c (report only)."""
@@ -269,6 +260,4 @@ class FormCatalog:
         lhs = (self.f_s(s) * self.d2).truncate(self.prec)
         rhs = self.a_expansion(
             1, lambda c: c.chi_t() * (c ** exp).to_bipoly())
-        report = compare_series(lhs, rhs)
-        report.update({"identity": "conjecture-fs", "s": s, "q": self.field.q})
-        return report
+        return compare_series(lhs, rhs)

@@ -19,7 +19,7 @@ import random
 from itertools import product
 
 from .fields import extension_field
-from .polynomials import BiPoly, UniPoly, monic_below, poly_gcd
+from .polynomials import BiPoly, UniPoly, monic_below
 
 
 # -- polynomial identities over F_q(X, Y) -----------------------------------------
@@ -172,6 +172,15 @@ def lemma3_bruteforce(inst):
     return lhs == rhs
 
 
+def lemma3_trials(field, n, l, trials, rng):
+    """lemma3_bruteforce on `trials` instances drawn from rng; False at the
+    first instance that fails."""
+    if trials < 1:
+        raise ValueError("trials must be >= 1")
+    return all(lemma3_bruteforce(BruteForceInstance.random(field, n, l, rng=rng))
+               for _ in range(trials))
+
+
 # -- Pellarin L partial sums -----------------------------------------------------------
 
 
@@ -190,30 +199,6 @@ class PartialLValue:
         self.n = n
         self.num = num
         self.den = den
-
-    def cross_eq(self, other):
-        """Equality of the represented values by cross-multiplication."""
-        return self.num * other.den.to_bipoly() == other.num * self.den.to_bipoly()
-
-    def reduced(self):
-        """Divide out the gcd (over F_q[theta], taken across all t-slices)."""
-        g = self.den
-        for slice_poly in self.num.t_slices().values():
-            g = poly_gcd(g, slice_poly)
-            if g.degree == 0:
-                break
-        if g.degree == 0 or g.is_zero:
-            return self
-        new_den = self.den // g
-        slices = self.num.t_slices()
-        terms = {}
-        for j, slice_poly in slices.items():
-            quotient = slice_poly // g
-            for i, coeff in enumerate(quotient.coeffs):
-                if coeff:
-                    terms[(i, j)] = coeff
-        return PartialLValue(self.field, self.alpha, self.beta, self.n,
-                             BiPoly(self.field, terms), new_den)
 
     def __repr__(self):
         return (f"PartialLValue(alpha={self.alpha}, beta={self.beta}, "
@@ -256,23 +241,3 @@ def check_lvals(field, l, n):
     rhs_den = (p1.den ** l).to_bipoly()
     return lhs_num * rhs_den == rhs_num * lhs_den
 
-
-def stabilization_report(field, alpha, beta, n_max):
-    """Degrees of consecutive partial-sum differences, reported not asserted.
-
-    The gap deg(numerator) - deg(denominator) of v_{n+1} - v_n becoming
-    more negative is the exact-arithmetic shadow of convergence.
-    """
-    values = [pellarin_partial(field, alpha, beta, n) for n in range(1, n_max + 1)]
-    rows = []
-    for prev, cur in zip(values, values[1:]):
-        diff_num = cur.num * prev.den.to_bipoly() - prev.num * cur.den.to_bipoly()
-        den_degree = prev.den.degree + cur.den.degree
-        num_degree = diff_num.theta_degree()
-        rows.append({
-            "n": cur.n,
-            "difference_num_degree": num_degree,
-            "difference_den_degree": den_degree,
-            "gap": None if num_degree is None else num_degree - den_degree,
-        })
-    return rows

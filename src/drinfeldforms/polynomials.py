@@ -12,8 +12,7 @@ the no-carry invariant and the reduction mod p of fields._SlotPacking;
 a UniPoly is a single row.  A product is then one big-int multiply per
 pair of planes, and _product_sum, the one coefficient kernel, adds the
 raw products of many pairs before it reduces once.  Sums, negation and
-scaling are plane operations too; only UniPoly division works on
-coefficient lists, through the field's element operations.
+scaling are plane operations too.
 
 A raising-to-the-q trick is used throughout: in characteristic p with
 q = p**e a power f**(q**k) is plain exponent scaling (F_q-scalars are
@@ -21,7 +20,6 @@ fixed by x -> x**q), so large q-power exponents cost nothing.
 """
 
 from itertools import product
-from math import comb
 
 
 def _same_field(a, b):
@@ -178,32 +176,6 @@ class UniPoly:
         """
         return self.exponent_scale(self.field.q ** k)
 
-    def __divmod__(self, other):
-        _same_field(self, other)
-        f = self.field
-        if other.is_zero:
-            raise ZeroDivisionError("polynomial division by zero")
-        inv_lead = f.inv(other.leading)
-        divisor = other.coeffs
-        db = len(divisor) - 1
-        rem = list(self.coeffs)
-        quo = [0] * max(len(rem) - db, 0)
-        for shift in range(len(quo) - 1, -1, -1):
-            top = rem[shift + db]
-            if top:
-                coef = f.mul(top, inv_lead)
-                quo[shift] = coef
-                minus = f.neg(coef)
-                for i, cb in enumerate(divisor):
-                    rem[shift + i] = f.add(rem[shift + i], f.mul(minus, cb))
-        return UniPoly(f, quo), UniPoly(f, rem[:db])
-
-    def __floordiv__(self, other):
-        return divmod(self, other)[0]
-
-    def __mod__(self, other):
-        return divmod(self, other)[1]
-
     def chi_t(self):
         """Evaluation character theta -> t, landing in F_q[theta, t]."""
         # slot i of one row is t**i at stride 1
@@ -220,16 +192,6 @@ class UniPoly:
             if c:
                 parts.append(f"{c}*x^{i}" if i else f"{c}")
         return "UniPoly(" + " + ".join(parts) + ")"
-
-
-def poly_gcd(a, b):
-    """Monic gcd in F_q[theta]."""
-    _same_field(a, b)
-    while not b.is_zero:
-        a, b = b, a % b
-    if a.is_zero:
-        return a
-    return a.scale(a.field.inv(a.leading))
 
 
 def enumerate_monic(field, d):
@@ -396,14 +358,6 @@ class BiPoly:
         return cls._make(field, field.digits(c), 1)
 
     @classmethod
-    def theta_pow(cls, field, i, c=1):
-        return cls._from_values(field, [0] * i + [c], i + 1)
-
-    @classmethod
-    def t_pow(cls, field, j, c=1):
-        return cls._from_values(field, [0] * j + [c], 1)
-
-    @classmethod
     def from_pairs(cls, field, pairs):
         """Build from ((i, j), coefficient) pairs, accumulating duplicates."""
         terms = {}
@@ -554,19 +508,6 @@ class BiPoly:
     def t_degree(self):
         return self._rows - 1 if self._rows else None
 
-    def t_slices(self):
-        """Split into {j: UniPoly in theta} by powers of t."""
-        slices = {}
-        for (i, j), v in self.terms.items():
-            slices.setdefault(j, {})[i] = v
-        out = {}
-        for j, mono in slices.items():
-            coeffs = [0] * (max(mono) + 1)
-            for i, v in mono.items():
-                coeffs[i] = v
-            out[j] = UniPoly(self.field, coeffs)
-        return out
-
     def sorted_terms(self):
         return sorted(self.terms.items())
 
@@ -580,17 +521,3 @@ class BiPoly:
             parts.append(f"{v}*{mono}" if mono else f"{v}")
         return "BiPoly(" + " + ".join(parts) + ")"
 
-
-def lucas_binom(n, i, p):
-    """Binomial coefficient C(n, i) mod p, digit by digit in base p."""
-    if n < 0 or i < 0:
-        raise ValueError("arguments must be >= 0")
-    res = 1
-    while n or i:
-        ni, ii = n % p, i % p
-        if ii > ni:
-            return 0
-        res = res * comb(ni, ii) % p
-        n //= p
-        i //= p
-    return res

@@ -1,31 +1,36 @@
 """Stable JSON/TSV encodings for polynomials, series, and L-values.
 
 Field elements serialize as little-endian base-p digit vectors, so the
-encodings are independent of the int packing used internally.  All
-monomial lists are sorted lexicographically and JSON is emitted with
-sorted keys, which makes every output byte-stable across runs.
+encodings are independent of the int packing used internally.  A
+polynomial names the modulus of its field only when it is not the
+canonical one, and decoding builds the field from it.  All monomial
+lists are sorted lexicographically and JSON is emitted with sorted
+keys, which makes every output byte-stable across runs.
 """
 
 import json
 
-from .fields import finite_field
+from .fields import canonical_modulus, finite_field
 from .polynomials import BiPoly
 from .series import USeries
 
 
 def bipoly_to_obj(poly):
     field = poly.field
-    return {
+    obj = {
         "p": field.p,
         "e": field.e,
         "monomials": [[i, j, list(field.digits(v))]
                       for (i, j), v in poly.sorted_terms()],
     }
+    if field.modulus != canonical_modulus(field.p, field.e):
+        obj["modulus"] = list(field.modulus)
+    return obj
 
 
 def bipoly_from_obj(obj, field=None):
     if field is None:
-        field = finite_field(obj["p"], obj["e"])
+        field = finite_field(obj["p"], obj["e"], obj.get("modulus"))
     terms = {}
     for i, j, digits in obj["monomials"]:
         terms[(i, j)] = field.from_digits(digits)
@@ -44,7 +49,8 @@ def useries_from_obj(obj, field=None):
     if field is None:
         if not terms:
             raise ValueError("cannot infer the field of an empty series")
-        field = finite_field(terms[0][1]["p"], terms[0][1]["e"])
+        head = terms[0][1]
+        field = finite_field(head["p"], head["e"], head.get("modulus"))
     coeffs = {n: bipoly_from_obj(c, field) for n, c in terms}
     return USeries(field, obj["prec"], coeffs)
 

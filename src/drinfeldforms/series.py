@@ -63,12 +63,6 @@ class USeries:
         return cls._raw(field, prec, {0: BiPoly.one(field)})
 
     @classmethod
-    def monomial(cls, field, prec, n, coeff=None):
-        if coeff is None:
-            coeff = BiPoly.one(field)
-        return cls(field, prec, {n: coeff})
-
-    @classmethod
     def from_terms(cls, field, prec, terms):
         coeffs = {}
         for n, c in terms.items():

@@ -50,9 +50,6 @@ class TauSequence:
     def items(self):
         return sorted(self.entries.items())
 
-    def window(self):
-        return (self.k_min, self.k_max)
-
 
 class TauOperator:
     """A_0 tau**0 + ... + A_s tau**s with u-series coefficients, A_0, A_s != 0."""
@@ -90,6 +87,10 @@ class TauOperator:
                 acc = term if acc is None else acc + term
             out[k] = acc
         return TauSequence(out)
+
+    def annihilates(self, seq, prec):
+        """Every entry of the image is zero, certified modulo u**prec."""
+        return all(entry.is_zero and entry.prec >= prec for _, entry in self.apply(seq).items())
 
 
 def operator_l1(catalog):
@@ -201,3 +202,24 @@ def matrix_det(matrix):
         return acc
 
     return minor(tuple(range(n)))
+
+
+def _random_entry(field, rng):
+    """At most 3 nonzero terms theta**i t**j with i, j < 3; rng draws each
+    coefficient before its exponents."""
+    terms = {}
+    for _ in range(rng.randrange(1, 4)):
+        terms[(rng.randrange(3), rng.randrange(3))] = rng.randrange(1, field.q)
+    return BiPoly(field, terms)
+
+
+def sym_det_trials(field, l, trials, rng):
+    """det Sym**l = (ad - bc)**((l*l + l) // 2) on `trials` random matrices
+    [[a, b], [c, d]] drawn from rng; False at the first that fails."""
+    if trials < 1:
+        raise ValueError("trials must be >= 1")
+    for _ in range(trials):
+        a, b, c, d = (_random_entry(field, rng) for _ in range(4))
+        if matrix_det(sym_power_matrix(a, b, c, d, l)) != (a * d - b * c) ** ((l * l + l) // 2):
+            return False
+    return True

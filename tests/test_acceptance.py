@@ -10,15 +10,14 @@ import time
 
 from drinfeldforms.fields import finite_field
 from drinfeldforms.forms import FormCatalog
-from drinfeldforms.identities import (BruteForceInstance, check_lvals,
-                                      goss_degenerate_check, lemma1_check,
-                                      lemma2_check, lemma3_bruteforce)
-from drinfeldforms.polynomials import BiPoly, lucas_binom
+from drinfeldforms.identities import (check_lvals, goss_degenerate_check,
+                                      lemma1_check, lemma2_check, lemma3_trials)
+from drinfeldforms.polynomials import BiPoly
 from drinfeldforms.serialize import canonical_json
-from drinfeldforms.shadowed import (check_d2_approx, enumerate_shadowed,
-                                    is_shadowed_partition)
-from drinfeldforms.taurec import (TauSequence, g_sequence, matrix_det,
-                                  operator_l1, operator_l2, sym_power_matrix)
+from drinfeldforms.shadowed import check_d2_approx, partition_counts
+from drinfeldforms.taurec import (TauSequence, g_sequence, operator_l1, operator_l2,
+                                  sym_det_trials)
+from test_taurec import lucas_binom
 
 FIELDS = {2: finite_field(2), 3: finite_field(3),
           4: finite_field(2, 2), 5: finite_field(5)}
@@ -57,7 +56,7 @@ def test_criterion_2_d2_cross_validation():
         prec = q ** 3 * (q - 1) + 2
         catalog = FormCatalog(field, prec)
         for k in (1, 2, 3, 4):
-            ok &= check_d2_approx(catalog, k)["ok"]
+            ok &= check_d2_approx(catalog, k)["pass"]
         theta_minus_t = BiPoly(field, {(1, 0): 1, (0, 1): field.neg(1)})
         ok &= catalog.d2.coefficient(q - 1) == theta_minus_t
         ok &= catalog.d2.coefficient((q - 1) * (q * q - q + 1)) == theta_minus_t
@@ -71,12 +70,9 @@ def test_criterion_3_recurrence_annihilation():
     for q in (2, 3):
         catalog = FormCatalog(FIELDS[q], q ** 3)
         l1, l2 = operator_l1(catalog), operator_l2(catalog)
-        for _, entry in l1.apply(TauSequence.constant(catalog.d2, 5)).items():
-            ok &= entry.is_zero and entry.prec >= catalog.prec
-        for _, entry in l1.apply(g_sequence(catalog, 1, 5)).items():
-            ok &= entry.is_zero and entry.prec >= catalog.prec
-        for _, entry in l2.apply(g_sequence(catalog, 2, 5)).items():
-            ok &= entry.is_zero and entry.prec >= catalog.prec
+        ok &= l1.annihilates(TauSequence.constant(catalog.d2, 5), catalog.prec)
+        ok &= l1.annihilates(g_sequence(catalog, 1, 5), catalog.prec)
+        ok &= l2.annihilates(g_sequence(catalog, 2, 5), catalog.prec)
     report(3, "L1 and L2 annihilate their sequences (prec >= q^3)", ok,
            time.time() - start, 60)
 
@@ -88,10 +84,7 @@ def test_criterion_4_power_sum_avatars():
         field = FIELDS[q]
         for n in (1, 2, 3):
             for l in range(1, q + 1):
-                rng = random.Random(10_000 * q + 100 * n + l)
-                for _ in range(100):
-                    inst = BruteForceInstance.random(field, n, l, rng=rng)
-                    ok &= lemma3_bruteforce(inst)
+                ok &= lemma3_trials(field, n, l, 100, random.Random(10_000 * q + 100 * n + l))
     for q in (2, 3):
         field = FIELDS[q]
         for l in range(1, q + 1):
@@ -125,20 +118,9 @@ def test_criterion_6_symmetric_power_determinant():
     start = time.time()
     ok = True
     for q in (2, 3, 5):
-        field = FIELDS[q]
         rng = random.Random(500 + q)
-
-        def random_poly():
-            terms = {(rng.randrange(3), rng.randrange(3)): rng.randrange(1, field.q)
-                     for _ in range(rng.randrange(1, 4))}
-            poly = BiPoly(field, terms)
-            return poly if not poly.is_zero else BiPoly.one(field)
-
         for l in (1, 2, 3, 4):
-            for _ in range(50):
-                a, b, c, d = (random_poly() for _ in range(4))
-                det = matrix_det(sym_power_matrix(a, b, c, d, l))
-                ok &= det == (a * d - b * c) ** ((l * l + l) // 2)
+            ok &= sym_det_trials(FIELDS[q], l, 50, rng)
     report(6, "Sym^l determinant identity (50 random per l <= 4)", ok,
            time.time() - start, 10)
 
@@ -184,13 +166,6 @@ def test_criterion_8_reproducible_experiments():
 
 def test_criterion_9_combinatorics():
     start = time.time()
-    ok = True
-    counts = [1, 1]
-    while len(counts) <= 12:
-        counts.append(counts[-1] + counts[-2])
-    for n in range(13):
-        parts = enumerate_shadowed(2, n)
-        ok &= len(parts) == counts[n]
-        ok &= all(is_shadowed_partition(pt, n) for pt in parts)
+    ok = all(row_ok for _, _, row_ok in partition_counts(12))
     report(9, "shadowed partition counts match square-domino tilings", ok,
            time.time() - start, 5)

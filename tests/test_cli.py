@@ -1,8 +1,9 @@
+import argparse
 import json
 
 import pytest
 
-from drinfeldforms.cli import main
+from drinfeldforms.cli import CHECKS, EXPERIMENTS, FORMS, build_parser, main
 
 
 def run_cli(capsys, *argv):
@@ -126,29 +127,64 @@ def test_check_lemma3_deterministic_bytes(capsys):
     assert out1 == out2
 
 
-def test_check_suites_pass(capsys):
-    for identity, extra in (
-        ("lemma1", []),
-        ("lemma2", []),
-        ("goss-degenerate", []),
-        ("d2-approx", ["--uprec", "20"]),
-        ("recurrence-l1", ["--uprec", "9", "--k", "4"]),
-        ("recurrence-l2", ["--uprec", "27", "--k", "4"]),
-        ("sym-det", ["--trials", "5"]),
-        ("partitions", ["--n", "8"]),
-    ):
-        code, obj = run_json(capsys, "check", "--identity", identity, "--p", "3",
-                             *extra)
-        assert code == 0, (identity, obj)
-        assert obj["pass"] is True
+# small parameters for every entry of CHECKS
+CHECK_ARGS = {
+    "lemma1": [],
+    "lemma2": [],
+    "lemma3": ["--trials", "3"],
+    "goss-degenerate": [],
+    "lvals": ["--n", "2"],
+    "e-power": ["--uprec", "27"],
+    "f-power": ["--uprec", "27", "--nu", "1"],
+    "d2-approx": ["--uprec", "20"],
+    "recurrence-l1": ["--uprec", "9", "--k", "4"],
+    "recurrence-l2": ["--uprec", "27", "--k", "4"],
+    "sym-det": ["--trials", "5"],
+    "partitions": ["--n", "8"],
+}
+
+
+def subcommand_choices(command, dest):
+    sub = next(a for a in build_parser()._actions
+               if isinstance(a, argparse._SubParsersAction))
+    return list(next(a.choices for a in sub.choices[command]._actions if a.dest == dest))
+
+
+def test_parser_choices_are_the_table_keys():
+    assert subcommand_choices("check", "identity") == list(CHECKS) == list(CHECK_ARGS)
+    assert subcommand_choices("experiment", "name") == list(EXPERIMENTS)
+    assert subcommand_choices("expand", "form") == [*FORMS, "f"]
+
+
+@pytest.mark.parametrize("identity", list(CHECKS))
+def test_check_suites_pass(capsys, identity):
+    code, obj = run_json(capsys, "check", "--identity", identity, "--p", "3",
+                         *CHECK_ARGS[identity])
+    assert code == 0, (identity, obj)
+    assert obj["pass"] is True
+    assert obj["result"] and all(r["check"] == identity for r in obj["result"])
 
 
 def test_check_failure_exits_one(capsys, monkeypatch):
-    import drinfeldforms.cli as cli_module
-    monkeypatch.setattr(cli_module, "lemma1_check", lambda field: False)
+    monkeypatch.setitem(CHECKS, "lemma1",
+                        lambda args, field: [{"q": field.q, "pass": False}])
     code, obj = run_json(capsys, "check", "--identity", "lemma1", "--p", "2")
     assert code == 1
     assert obj["pass"] is False
+
+
+@pytest.mark.parametrize("argv,exit_code", [
+    (["--identity", "d2-approx", "--p", "3", "--uprec", "2"], 3),
+    (["--identity", "partitions", "--n", "-1"], 2),
+    (["--identity", "lemma3", "--trials", "0"], 2),
+    (["--identity", "sym-det", "--trials", "0"], 2),
+    (["--identity", "lemma2", "--l", "3..1"], 2),
+], ids=["d2-approx-no-certifiable-k", "partitions-negative-n", "lemma3-no-trials",
+        "sym-det-no-trials", "lemma2-empty-l-range"])
+def test_check_that_would_certify_nothing_is_rejected(capsys, argv, exit_code):
+    code, out = run_cli(capsys, "check", *argv)
+    assert code == exit_code
+    assert out == ""
 
 
 def test_check_rejects_out_of_range_l(capsys):

@@ -4,8 +4,7 @@ from hypothesis import strategies as st
 
 from drinfeldforms.errors import PrecisionError
 from drinfeldforms.fields import finite_field
-from drinfeldforms.forms import (EE_FROM_H_TAU_D2_SIGN, FormCatalog,
-                                 bracket_twisted, t_minus_theta_pow)
+from drinfeldforms.forms import FormCatalog, bracket_twisted, t_minus_theta_pow
 from drinfeldforms.polynomials import BiPoly, UniPoly, monic_below
 from drinfeldforms.series import USeries, u_c_expansion
 
@@ -176,10 +175,7 @@ def test_ee_basics(field):
 @pytest.mark.parametrize("field", [F2, F3, F4])
 def test_ee_equals_h_tau_d2_with_pinned_sign(field):
     cat = catalog(field, 30)
-    product = cat.h * cat.d2.tau(1)
-    if EE_FROM_H_TAU_D2_SIGN == -1:
-        product = -product
-    assert cat.ee.agrees_with(product)
+    assert cat.ee.agrees_with(cat.h * cat.d2.tau(1))
 
 
 # -- power identities -----------------------------------------------------------------------

@@ -15,7 +15,7 @@ from hypothesis import strategies as st
 
 from drinfeldforms import polynomials
 from drinfeldforms.fields import finite_field
-from drinfeldforms.polynomials import BiPoly, UniPoly, poly_gcd
+from drinfeldforms.polynomials import BiPoly, UniPoly
 from drinfeldforms.series import USeries
 
 FIELDS = [finite_field(p, e) for p, e in
@@ -145,11 +145,6 @@ def test_twists_and_substitution_match_reference(field, data):
         assert a.frobenius(k).terms == {(i * s, j * s): v for (i, j), v in t.items()}
     assert a.subs_t_theta().terms == ref_accumulate(
         field, [((i + j, 0), v) for (i, j), v in t.items()])
-    slices = {}
-    for (i, j), v in t.items():
-        slices.setdefault(j, {})[i] = v
-    assert {j: {i: c for i, c in enumerate(u.coeffs) if c}
-            for j, u in a.t_slices().items()} == slices
     assert a.theta_degree() == max((i for i, _ in t), default=None)
     assert a.t_degree() == max((j for _, j in t), default=None)
 
@@ -164,7 +159,7 @@ def test_terms_round_trip_and_layout_free_identity(field, data):
     assert a.terms == t
     assert BiPoly(field, a.terms) == a
     # the same polynomial at a wider stride, and with a product's layout
-    x = BiPoly.theta_pow(field, pad)
+    x = BiPoly(field, {(pad, 0): 1})
     wide = (a + x) - x
     moved = a * BiPoly.one(field)
     for b in (wide, moved):
@@ -270,24 +265,6 @@ def ref_uni_mul(field, a, b):
     return ref_trim(out)
 
 
-def ref_uni_divmod(field, a, b):
-    """Long division, cancelling the leading term of the remainder each step."""
-    rem, quo = tuple(a), [0] * max(len(a) - len(b) + 1, 0)
-    inv = field.inv(b[-1])
-    while len(rem) >= len(b):
-        c = field.mul(rem[-1], inv)
-        shift = len(rem) - len(b)
-        quo[shift] = c
-        rem = ref_uni_add(field, rem, (0,) * shift + ref_uni_neg(field, ref_uni_scale(field, b, c)))
-    return ref_trim(quo), rem
-
-
-def ref_uni_gcd(field, a, b):
-    while b:
-        a, b = b, ref_uni_divmod(field, a, b)[1]
-    return ref_uni_scale(field, a, field.inv(a[-1])) if a else ()
-
-
 def uni_coeffs(field, max_size=10):
     return st.lists(st.integers(0, field.q - 1), max_size=max_size)
 
@@ -297,9 +274,6 @@ def uni_coeffs(field, max_size=10):
 @given(data=st.data())
 def test_unipoly_matches_reference(field, data):
     ca, cb = data.draw(uni_coeffs(field)), data.draw(uni_coeffs(field))
-    # a common factor, so that the gcd is not always 1
-    common = data.draw(uni_coeffs(field, 4))
-    ca, cb = ref_uni_mul(field, ca, common), ref_uni_mul(field, cb, common)
     c = data.draw(st.integers(0, field.q - 1))
     a, b = UniPoly(field, ca), UniPoly(field, cb)
     ca, cb = ref_trim(ca), ref_trim(cb)
@@ -309,10 +283,6 @@ def test_unipoly_matches_reference(field, data):
     assert (a - b).coeffs == ref_uni_add(field, ca, ref_uni_neg(field, cb))
     assert (-a).coeffs == ref_uni_neg(field, ca)
     assert a.scale(c).coeffs == ref_uni_scale(field, ca, c)
-    if cb:
-        quo, rem = divmod(a, b)
-        assert (quo.coeffs, rem.coeffs) == ref_uni_divmod(field, ca, cb)
-    assert poly_gcd(a, b).coeffs == ref_uni_gcd(field, ca, cb)
     for k in range(3 if field.q < 10 else 2):
         s = field.q ** k
         spread = [0] * ((len(ca) - 1) * s + 1) if ca else []

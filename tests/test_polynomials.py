@@ -3,8 +3,8 @@ import random
 import pytest
 
 from drinfeldforms.fields import finite_field
-from drinfeldforms.polynomials import (BiPoly, UniPoly, enumerate_monic,
-                                       lucas_binom, monic_below, poly_gcd)
+from drinfeldforms.polynomials import BiPoly, UniPoly, enumerate_monic, monic_below
+from test_taurec import lucas_binom
 
 F2 = finite_field(2)
 F3 = finite_field(3)
@@ -141,18 +141,6 @@ def test_bipoly_subs_t_theta():
 # -- univariate helpers ------------------------------------------------------------
 
 
-def test_unipoly_divmod_property():
-    rng = random.Random(7)
-    for _ in range(40):
-        a = rand_unipoly(F3, rng, 8)
-        b = rand_unipoly(F3, rng, 3)
-        if b.is_zero:
-            continue
-        quo, rem = divmod(a, b)
-        assert quo * b + rem == a
-        assert rem.is_zero or rem.degree < b.degree
-
-
 def test_unipoly_pow_q_fast_path():
     rng = random.Random(9)
     a = rand_unipoly(F3, rng, 4)
@@ -162,24 +150,12 @@ def test_unipoly_pow_q_fast_path():
     assert a ** 9 == slow
 
 
-def test_poly_gcd():
-    theta = UniPoly.gen(F3)
-    one = UniPoly.one(F3)
-    g = (theta + one) * (theta + theta)
-    a = g * (theta * theta + one)
-    b = g * (theta + one)
-    d = poly_gcd(a, b)
-    assert (a % d).is_zero and (b % d).is_zero
-    assert d.is_monic
-    assert (d % (theta + one)).is_zero
-
-
 def test_zero_polynomial_degree_is_sentinel():
     assert UniPoly.zero(F3).degree is None
     assert BiPoly.zero(F3).theta_degree() is None
 
 
-# -- Lucas binomials ------------------------------------------------------------------
+# -- Lucas binomials (the binomial-mod-p reference of tests/test_taurec.py) -------------
 
 
 def test_lucas_examples():

@@ -1,9 +1,13 @@
 import json
+from itertools import product
 
-from drinfeldforms.fields import finite_field
+import pytest
+
+from drinfeldforms.fields import canonical_modulus, finite_field
 from drinfeldforms.forms import FormCatalog
 from drinfeldforms.identities import pellarin_partial
 from drinfeldforms.polynomials import BiPoly
+from drinfeldforms.series import USeries
 from drinfeldforms.serialize import (bipoly_from_obj, bipoly_to_obj,
                                      canonical_json, lvalue_to_obj,
                                      useries_from_obj, useries_to_obj,
@@ -63,3 +67,40 @@ def test_canonical_json_is_stable_and_parseable():
     assert text == canonical_json(payload)
     assert text.endswith("\n")
     assert json.loads(text) == payload
+
+
+SMALL_FIELDS = [(p, e) for p in (2, 3, 5, 7, 11, 13, 17, 19, 23) for e in (1, 2, 3, 4)
+                if p ** e <= 27]
+
+
+def irreducible_moduli(p, e):
+    """Every monic irreducible of degree e over F_p, as a coefficient tuple."""
+    moduli = []
+    for lows in product(range(p), repeat=e):
+        try:
+            moduli.append(finite_field(p, e, lows + (1,)).modulus)
+        except ValueError:  # reducible
+            pass
+    return moduli
+
+
+@pytest.mark.parametrize("p,e", SMALL_FIELDS, ids=[f"{p}^{e}" for p, e in SMALL_FIELDS])
+def test_json_round_trip_for_every_modulus(p, e):
+    moduli = irreducible_moduli(p, e)
+    assert canonical_modulus(p, e) in moduli
+    for modulus in moduli:
+        field = finite_field(p, e, modulus)
+        # every element appears as a coefficient
+        poly = BiPoly(field, {(a % 3, a // 3): a for a in range(1, field.q)})
+        series = USeries(field, 7, {0: BiPoly.one(field), 2: poly, 5: poly * poly})
+        poly_obj = json.loads(canonical_json(bipoly_to_obj(poly)))
+        assert ("modulus" in poly_obj) == (modulus != canonical_modulus(p, e))
+        back = bipoly_from_obj(poly_obj)
+        assert back.field == field and back == poly
+        back = useries_from_obj(json.loads(canonical_json(useries_to_obj(series))))
+        assert back.field == field and back == series
+
+
+def test_h_over_a_non_canonical_f9_round_trips():
+    h = FormCatalog(finite_field(3, 2, (2, 1, 1)), 30).h
+    assert useries_from_obj(useries_to_obj(h)) == h

@@ -80,7 +80,7 @@ def test_inv_one():
 
 
 def test_inv_geometric():
-    theta = BiPoly.theta_pow(F3, 1)
+    theta = BiPoly(F3, {(1, 0): 1})
     f = USeries(F3, 4, {0: BiPoly.one(F3), 1: theta})
     expected = USeries(F3, 4, {0: BiPoly.one(F3),
                                1: -theta,
@@ -100,7 +100,7 @@ def test_inv_requires_unit_scalar_constant():
     with pytest.raises(ValueError):
         USeries.from_terms(F3, 5, {1: 1}).inv()
     with pytest.raises(ValueError):
-        USeries(F3, 5, {0: BiPoly.theta_pow(F3, 1)}).inv()
+        USeries(F3, 5, {0: BiPoly(F3, {(1, 0): 1})}).inv()
 
 
 # -- tau and Frobenius ---------------------------------------------------------------------
@@ -266,7 +266,7 @@ def test_u_theta_alternating_pattern(field):
     k = 0
     while q + k * (q - 1) < prec:
         coeff = field.pow(field.neg(1), k)
-        theta_pow = BiPoly.theta_pow(field, k, coeff)
+        theta_pow = BiPoly(field, {(k, 0): coeff})
         expected[q + k * (q - 1)] = theta_pow
         k += 1
     assert series == USeries(field, prec, expected)

@@ -5,8 +5,10 @@ import pytest
 from drinfeldforms.errors import PrecisionError
 from drinfeldforms.fields import finite_field
 from drinfeldforms.forms import FormCatalog, t_minus_theta_pow
+from drinfeldforms import shadowed
 from drinfeldforms.shadowed import (check_d2_approx, enumerate_shadowed,
-                                    g1k_shadowed, is_shadowed_partition)
+                                    g1k_shadowed, is_shadowed_partition,
+                                    partition_counts)
 
 F2 = finite_field(2)
 F3 = finite_field(3)
@@ -62,6 +64,19 @@ def test_p2_counts_match_tilings():
     counts = tiling_counts(12)
     for n in range(13):
         assert len(enumerate_shadowed(2, n)) == counts[n]
+
+
+def test_partition_counts(monkeypatch):
+    rows = partition_counts(12)
+    assert [(n, count) for n, count, _ in rows] == list(enumerate(tiling_counts(12)))
+    assert all(ok for _, _, ok in rows)
+    with pytest.raises(ValueError):
+        partition_counts(-1)
+    # one partition short of the tiling count at n = 3
+    monkeypatch.setattr(shadowed, "enumerate_shadowed",
+                        lambda r, n: enumerate_shadowed(r, n)[:-1] if n == 3 else
+                        enumerate_shadowed(r, n))
+    assert [ok for _, _, ok in partition_counts(4)] == [True, True, True, False, True]
 
 
 def test_every_tuple_satisfies_invariant():
@@ -139,14 +154,14 @@ def test_check_d2_approx(field):
     cat = FormCatalog(field, prec)
     for k in (1, 2, 3):
         report = check_d2_approx(cat, k)
-        assert report["ok"], report
+        assert report["pass"], report
         assert report["required_valuation"] == q ** (k - 1) * (q - 1)
 
 
 def test_check_d2_approx_k3_q2_beyond_16():
     cat = FormCatalog(F2, 17)
     report = check_d2_approx(cat, 3)
-    assert report["ok"]
+    assert report["pass"]
     assert report["observed_valuation"] >= 4
 
 

@@ -1,15 +1,17 @@
 import random
+from math import comb
 
 import pytest
 
 from drinfeldforms.fields import finite_field
 from drinfeldforms.forms import FormCatalog
-from drinfeldforms.polynomials import BiPoly, lucas_binom
+from drinfeldforms.polynomials import BiPoly
 from drinfeldforms.series import USeries
 from drinfeldforms.shadowed import g1k_shadowed
+from drinfeldforms import taurec
 from drinfeldforms.taurec import (TauOperator, TauSequence, g_sequence,
                                   matrix_det, operator_l1, operator_l2,
-                                  sym_power_matrix)
+                                  sym_det_trials, sym_power_matrix)
 
 F2 = finite_field(2)
 F3 = finite_field(3)
@@ -42,6 +44,14 @@ def test_l1_annihilates_constant_d2(field):
     for _, entry in image.items():
         assert entry.is_zero
         assert entry.prec >= cat.prec
+
+
+def test_annihilates_needs_zero_entries_at_the_certified_precision():
+    cat = FormCatalog(F3, 27)
+    op = operator_l1(cat)
+    assert op.annihilates(TauSequence.constant(cat.d2, 4), cat.prec)
+    assert not op.annihilates(TauSequence.constant(cat.d2, 4), cat.prec + 1)
+    assert not op.annihilates(TauSequence.constant(cat.g, 4), cat.prec)
 
 
 @pytest.mark.parametrize("field", [F2, F3])
@@ -95,7 +105,7 @@ def test_sequence_window_validation():
     with pytest.raises(ValueError):
         TauSequence({0: series, 2: series})
     seq = TauSequence({0: series, 1: series})
-    assert seq.window() == (0, 1)
+    assert (seq.k_min, seq.k_max) == (0, 1)
 
 
 # -- g_sequence ----------------------------------------------------------------------
@@ -145,6 +155,15 @@ def test_sym_power_determinant(field):
             assert det == (a * d - b * c) ** ((l * l + l) // 2)
 
 
+def test_sym_det_trials(monkeypatch):
+    assert sym_det_trials(F3, 3, 5, random.Random(1))
+    with pytest.raises(ValueError):
+        sym_det_trials(F3, 3, 0, random.Random(1))
+    # a wrong determinant is caught
+    monkeypatch.setattr(taurec, "matrix_det", lambda matrix: BiPoly.zero(F3))
+    assert not sym_det_trials(F3, 3, 5, random.Random(1))
+
+
 @pytest.mark.parametrize("l", [2, 3])
 def test_sym_power_multiplicative(l):
     rng = random.Random(100 + l)
@@ -161,6 +180,21 @@ def test_sym_power_multiplicative(l):
             for k in range(l + 1):
                 entry = entry + m[i][k] * n[k][j]
             assert entry == mn[i][j]
+
+
+def lucas_binom(n, i, p):
+    """Binomial coefficient C(n, i) mod p, digit by digit in base p."""
+    if n < 0 or i < 0:
+        raise ValueError("arguments must be >= 0")
+    res = 1
+    while n or i:
+        ni, ii = n % p, i % p
+        if ii > ni:
+            return 0
+        res = res * comb(ni, ii) % p
+        n //= p
+        i //= p
+    return res
 
 
 def sym_power_reference(a, b, c, d, l):
