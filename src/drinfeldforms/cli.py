@@ -270,6 +270,18 @@ def _check_f_power(args, field):
     return reports
 
 
+def _check_coset_sum(args, field):
+    catalog = FormCatalog(field, args.uprec)
+    nus = [args.nu] if args.nu is not None else [1, 2]
+    return [{"q": field.q, **r} for r in catalog.check_coset_sums(nus)]
+
+
+def _check_ee_h_tau_d2(args, field):
+    r = FormCatalog(field, args.uprec).check_ee_h_tau_d2()
+    del r["equal"]
+    return [{"q": field.q, **r}]
+
+
 def _check_d2_approx(args, field):
     catalog = FormCatalog(field, args.uprec)
     q = field.q
@@ -320,7 +332,8 @@ CHECKS = {"lemma1": _check_lemma1, "lemma2": _check_lemma2, "lemma3": _check_lem
           "e-power": _check_e_power, "f-power": _check_f_power,
           "d2-approx": _check_d2_approx, "recurrence-l1": _check_recurrence_l1,
           "recurrence-l2": _check_recurrence_l2, "sym-det": _check_sym_det,
-          "partitions": _check_partitions}
+          "partitions": _check_partitions, "coset-sum": _check_coset_sum,
+          "ee-h-tau-d2": _check_ee_h_tau_d2}
 
 
 def cmd_check(args):

@@ -14,8 +14,18 @@ FormCatalog fixes a field F_q and a working precision and caches:
 plus the families f_{l,nu} = sum c**(l q**nu) u_c**l (1 <= l <= q) and
 f_s = sum c**(1 + s(q-1)) u_c.  Each sum runs over the monic c whose
 term valuation stays below the precision, so truncations are exact.
-The powers u_c**l with 1 < l < q come from sparse steps by the
-(deg c + 1)-term polynomial u**(q**deg c) phi_c(1/u) (see u_c_power).
+
+g, h, e, ee and f_{1,nu} are summed per degree in closed form
+(series.coset_sum, Lemma 1 over the cosets of the monic): their weights
+c, c**q, c**(q**nu) and chi_t(c) are F_q-linear in c, which makes
+sum_(deg c = d) w(c) u_c one relaxed division, and the unweighted
+sum_(deg c = d) u_c**(q-1) of g is the (q-1)-th power of sum u_c (the
+Goss polynomials G_k(X) = X**k for k <= q).  a_expansion, one u_c per
+monic c, is the definition and the brute-force oracle; it still computes
+f_{l,nu} for l >= 2, f_s and the right-hand sides of the power checks,
+whose weighted powers do not collapse.  The powers u_c**l with 1 < l < q
+come from sparse steps by the (deg c + 1)-term polynomial
+u**(q**deg c) phi_c(1/u) (see u_c_power).
 
 All comparisons are reported with the first differing u-exponent, never
 asserted, so the same machinery drives both the verified identities and
@@ -23,8 +33,9 @@ the open-ended experiments.
 """
 
 from .errors import PrecisionError
-from .polynomials import BiPoly, enumerate_monic
-from .series import USeries, _relaxed_solve, _reversed_phi, u_c_expansion, u_c_power
+from .polynomials import BiPoly, UniPoly, enumerate_monic
+from .series import (USeries, _power_to, _relaxed_solve, _reversed_phi, coset_sum,
+                     u_c_expansion, u_c_power)
 
 
 def t_minus_theta_pow(field, k):
@@ -37,6 +48,11 @@ def bracket_twisted(field, n, twist=0):
     q = field.q
     return BiPoly.from_pairs(field, [((q ** (n + twist), 0), 1),
                                      ((q ** twist, 0), field.neg(1))])
+
+
+def power_weight(k):
+    """The weight c -> c**k; F_q-linear in c when k is a power of q."""
+    return lambda c: (c ** k).to_bipoly()
 
 
 def compare_series(lhs, rhs):
@@ -100,18 +116,50 @@ class FormCatalog:
                 self._rphi[c.coeffs] = rphi
         return rphi
 
-    def a_expansion(self, power, coefficient_of):
+    def a_expansion(self, power, coefficient_of, degrees=None):
         """sum over monic c of coefficient_of(c) * u_c**power, modulo u**prec.
 
-        Each u-coefficient is one BiPoly.sum_of_products over the monic c."""
+        The sum runs over the monic of the given degrees, by default every
+        summation degree.  Each u-coefficient is one BiPoly.sum_of_products
+        over the monic c."""
         pairs = {}
-        for d in self.summation_degrees(power):
+        for d in self.summation_degrees(power) if degrees is None else degrees:
             for c in self.monic(d):
                 coef = coefficient_of(c)
                 for n, a in self.u_c(c, power).coeffs.items():
                     pairs.setdefault(n, []).append((coef, a))
         return USeries(self.field, self.prec,
                        {n: BiPoly.sum_of_products(self.field, ps) for n, ps in pairs.items()})
+
+    def coset_sum(self, d, power=1, coefficient_of=None):
+        """sum over monic c of degree d of coefficient_of(c) * u_c**power,
+        modulo u**prec, in closed form (series.coset_sum).
+
+        coefficient_of must be F_q-linear in c: it is only evaluated at the
+        theta**k, k <= d.  None is the weight 1, and then power may be any
+        1 <= power <= q: the sum of the u_c**power is the power of the sum
+        of the u_c.  A weighted sum needs power 1."""
+        field, prec, q = self.field, self.prec, self.field.q
+        if coefficient_of is None:
+            if not 1 <= power <= q:
+                raise ValueError(f"power must satisfy 1 <= power <= q, got {power}")
+            if power * q ** d >= prec:
+                return USeries.zero(field, prec)
+            # sum u_c has valuation >= q**d, so its power needs it only
+            # modulo u**(prec - (power - 1) q**d)
+            return _power_to(coset_sum(field, d, prec - (power - 1) * q ** d), power, prec)
+        if power != 1:
+            raise ValueError("a weighted coset sum needs power 1")
+        return coset_sum(field, d, prec,
+                         [coefficient_of(UniPoly(field, [0] * k + [1])) for k in range(d + 1)])
+
+    def linear_a_expansion(self, power, coefficient_of=None):
+        """a_expansion(power, coefficient_of) by one coset_sum per summation
+        degree, with coefficient_of as in coset_sum."""
+        total = USeries.zero(self.field, self.prec)
+        for d in self.summation_degrees(power):
+            total = total + self.coset_sum(d, power, coefficient_of)
+        return total
 
     # -- the catalog -------------------------------------------------------------
 
@@ -124,7 +172,7 @@ class FormCatalog:
     def g(self):
         def build():
             q = self.field.q
-            s = self.a_expansion(q - 1, lambda c: BiPoly.one(self.field))
+            s = self.linear_a_expansion(q - 1)
             thq_minus_th = BiPoly.from_pairs(
                 self.field, [((q, 0), 1), ((1, 0), self.field.neg(1))])
             return USeries.one(self.field, self.prec) - s.scale(thq_minus_th)
@@ -132,9 +180,8 @@ class FormCatalog:
 
     @property
     def h(self):
-        q = self.field.q
-        return self._cached(
-            "h", lambda: self.a_expansion(1, lambda c: (c ** q).to_bipoly()))
+        """sum c**q u_c, which is f_{1, 1}."""
+        return self.f_l_nu(1, 1)
 
     @property
     def delta(self):
@@ -144,13 +191,13 @@ class FormCatalog:
 
     @property
     def e(self):
-        """Gekeler's false Eisenstein series sum c u_c."""
-        return self._cached("e", lambda: self.a_expansion(1, lambda c: c.to_bipoly()))
+        """Gekeler's false Eisenstein series sum c u_c, which is f_{1, 0}."""
+        return self.f_l_nu(1, 0)
 
     @property
     def ee(self):
         """The t-deformation sum chi_t(c) u_c."""
-        return self._cached("ee", lambda: self.a_expansion(1, lambda c: c.chi_t()))
+        return self._cached("ee", lambda: self.linear_a_expansion(1, UniPoly.chi_t))
 
     @property
     def d2(self):
@@ -181,10 +228,9 @@ class FormCatalog:
             raise ValueError(f"l must satisfy 1 <= l <= q, got {l}")
         if nu < 0:
             raise ValueError("nu must be >= 0")
-        exp = l * q ** nu
-        return self._cached(
-            ("f", l, nu),
-            lambda: self.a_expansion(l, lambda c: (c ** exp).to_bipoly()))
+        weight = power_weight(l * q ** nu)
+        sum_of = self.linear_a_expansion if l == 1 else self.a_expansion
+        return self._cached(("f", l, nu), lambda: sum_of(l, weight))
 
     def f_s(self, s):
         """f_s = sum c**(1 + s(q-1)) u_c for s >= 1."""
@@ -205,6 +251,41 @@ class FormCatalog:
         lhs = (self.ee ** l).truncate(self.prec)
         rhs = self.a_expansion(l, lambda c: c.chi_t() ** l)
         return compare_series(lhs, rhs)
+
+    def check_coset_sums(self, nus=(1, 2)):
+        """Per summation degree, coset_sum against the brute-force
+        a_expansion over the same degree, for g (the unweighted
+        sum u_c**(q-1)), h, e, ee and f_{1, nu} for each nu in nus.
+
+        One row per form; a mismatch names the first degree and the first
+        differing u-exponent there, and so does a coset sum known to less
+        than the catalog precision (first_difference None)."""
+        q = self.field.q
+        one = BiPoly.one(self.field)
+        sums = [({"form": "g"}, q - 1, None), ({"form": "h"}, 1, power_weight(q)),
+                ({"form": "E"}, 1, power_weight(1)), ({"form": "EE"}, 1, UniPoly.chi_t)]
+        sums += [({"form": "f", "l": 1, "nu": nu}, 1, power_weight(q ** nu)) for nu in nus]
+        rows = []
+        for labels, power, weight in sums:
+            degrees = self.summation_degrees(power)
+            row = {**labels, "degrees": len(degrees), "degree": None,
+                   "first_difference": None, "pass": True}
+            for d in degrees:
+                closed = self.coset_sum(d, power, weight)
+                brute = self.a_expansion(power, weight or (lambda c: one), [d])
+                diff = closed.first_difference(brute)
+                if diff is not None or closed.prec != self.prec:
+                    row.update({"degree": d, "first_difference": diff, "pass": False})
+                    break
+            rows.append(row)
+        return rows
+
+    def check_ee_h_tau_d2(self):
+        """Compare ee with Pellarin's h * tau(d2); it passes when they agree
+        to the full catalog precision."""
+        report = compare_series(self.ee, self.h * self.d2.tau(1))
+        report["pass"] = report["equal"] and report["compared_precision"] == self.prec
+        return report
 
     def check_f_power(self, l, nu):
         """Compare f_{1, nu}**l with f_{l, nu} (a theorem for 1 <= l <= q)."""

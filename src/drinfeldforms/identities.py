@@ -108,16 +108,17 @@ class BruteForceInstance:
     """
 
     def __init__(self, base_field, ext, embed, vs, ws, l):
-        if l < 1:
-            raise ValueError("l must be >= 1")
         if len(vs) != len(ws) or not ws:
             raise ValueError("V and W must be nonempty lists of equal length")
-        scalars = [embed[u] for u in base_field.elements()]
-        span = {0}
+        span = _Span(ext, embed, base_field)
         for w in ws:
-            if w in span:
+            if not span.extend(w):
                 raise ValueError("W elements are F_q-linearly dependent")
-            span = {ext.add(s, ext.mul(c, w)) for s in span for c in scalars}
+        self._assign(base_field, ext, embed, vs, ws, l)
+
+    def _assign(self, base_field, ext, embed, vs, ws, l):
+        if l < 1:
+            raise ValueError("l must be >= 1")
         self.base_field = base_field
         self.ext = ext
         self.embed = tuple(embed)
@@ -128,22 +129,39 @@ class BruteForceInstance:
     @classmethod
     def random(cls, base_field, n, l, seed=None, rng=None, m=4):
         """Draw a reproducible instance; the extension degree grows with n
-        so that n independent elements exist."""
+        so that n independent elements exist.  The span that rejects a
+        dependent draw is the validation, so it is built once."""
         if rng is None:
             rng = random.Random(seed)
         m = max(m, n)
         ext, embed = extension_field(base_field, m)
-        scalars = [embed[u] for u in base_field.elements()]
-        span = {0}
+        span = _Span(ext, embed, base_field)
         ws = []
         while len(ws) < n:
             w = rng.randrange(ext.q)
-            if w in span:
-                continue
-            ws.append(w)
-            span = {ext.add(s, ext.mul(c, w)) for s in span for c in scalars}
+            if span.extend(w):
+                ws.append(w)
         vs = [rng.randrange(ext.q) for _ in range(n)]
-        return cls(base_field, ext, embed, vs, ws, l)
+        inst = object.__new__(cls)
+        inst._assign(base_field, ext, embed, vs, ws, l)
+        return inst
+
+
+class _Span:
+    """The F_q-span of the elements added so far, inside the extension."""
+
+    def __init__(self, ext, embed, base_field):
+        self.ext = ext
+        self.scalars = [embed[u] for u in base_field.elements()]
+        self.elements = {0}
+
+    def extend(self, w):
+        """Add w to the span; False (and no change) when w is already in it."""
+        if w in self.elements:
+            return False
+        ext = self.ext
+        self.elements = {ext.add(s, ext.mul(c, w)) for s in self.elements for c in self.scalars}
+        return True
 
 
 def lemma3_bruteforce(inst):

@@ -14,11 +14,14 @@ what the inputs justify, so recomputing at higher precision and
 truncating always reproduces lower-precision results bit for bit.
 
 The module also provides the twisted-polynomial coefficients of the rank
-one module phi with phi(theta) = theta + tau, and the exact expansions of
-u_c = 1 / phi_c(1/u) for monic c and of its powers u_c**l, 1 <= l <= q.
+one module phi with phi(theta) = theta + tau, the exact expansions of
+u_c = 1 / phi_c(1/u) for monic c and of its powers u_c**l, 1 <= l <= q,
+and coset_sum, the sum of w(c) u_c over all monic c of one degree for an
+F_q-linear weight w, in closed form.
 
-Every triangular solve (the division by P_c behind u_c, USeries.inv and
-the d2 recurrence in forms) is one routine, _relaxed_solve.  It is
+Every triangular solve (the division by P_c behind u_c, the one division
+of each coset_sum, USeries.inv and the d2 recurrence in forms) is one
+routine, _relaxed_solve.  It is
 relaxed: only reachable exponents are solved.  Each nonzero coefficient
 pushes its contributions forward when it is found, so an exponent that
 nothing reaches costs no coefficient product.
@@ -403,6 +406,80 @@ def _times_pc_over_u_qd(y, qd, terms):
     field = y.field
     pc = USeries._raw(field, y.prec, {0: BiPoly.one(field), **dict(terms)})
     return (y * pc).shift(-qd)
+
+
+def _product_to(a, b, prec):
+    """a * b, forming no coefficient at or above prec: each factor is cut
+    to what the other's valuation leaves.  The precision is that of a * b,
+    capped at prec."""
+    va, vb = a.val(), b.val()
+    if va + vb >= prec:
+        return USeries.zero(a.field, prec)
+    return a.truncate(min(a.prec, prec - vb)) * b.truncate(min(b.prec, prec - va))
+
+
+def _power_to(a, k, prec):
+    """a**k (k >= 0) by squaring, with every product formed by _product_to;
+    the precision is that of a**k, capped at prec."""
+    result = None
+    while k:
+        if k & 1:
+            result = a if result is None else _product_to(result, a, prec)
+        k >>= 1
+        if k:
+            a = _product_to(a, a, prec)
+    if result is None:
+        return USeries.one(a.field, prec)
+    return result.truncate(min(prec, result.prec))
+
+
+def coset_sum(field, d, prec, weights=None):
+    """sum of w(c) u_c over the q**d monic c of degree d, modulo u**prec.
+
+    w is F_q-linear, given on the basis: weights[k] = w(theta**k) for
+    k <= d; None sums the u_c alone (w = 1).  Write
+    c = theta**d + sum_(k < d) c_k theta**k.  phi is F_q-linear, so
+    P_c = u**(q**d) phi_c(1/u) = R_d + sum c_k R_k, with
+    R_k = u**(q**d) phi_(theta**k)(1/u), and w(c) u_c = u**(q**d) N / D
+    with N = w(c), D = P_c both affine in the c_k.  Summing out c_0, then
+    c_1, ... is Lemma 1 in homogeneous form:
+
+        sum_(lambda in F_q) (N0 + lambda N1) / (D0 + lambda D1)
+            = D1**(q-2) (N1 D0 - N0 D1) / (D0**q - D0 D1**(q-1)).
+
+    N1 and D1, the coefficients of the variable summed out, are free of
+    the others, and D0**q is a Frobenius image, again affine in them: N
+    and D stay affine.  After d steps the sum is u**(q**d) N / D, where D
+    has constant term 1, so it costs one relaxed division.  N and D are
+    needed modulo u**(prec - q**d) only.
+    """
+    q = field.q
+    qd = q ** d
+    work = prec - qd
+    if work <= 0:
+        return USeries.zero(field, prec)
+    # den[0], num[0] are the parts free of the c_k; den[1:], num[1:] the
+    # coefficients of the c_k not summed out yet, by increasing k
+    den = []
+    for k in (d, *range(d)):
+        row = _phi_theta_power(field, k).coeffs
+        den.append(USeries(field, work, {qd - q ** i: row[i].to_bipoly()
+                                          for i in range(k + 1)}))
+    if weights is None:
+        num = [USeries.one(field, work)] + [USeries.zero(field, work)] * d
+    else:
+        num = [USeries(field, work, {0: weights[k]}) for k in (d, *range(d))]
+    for _ in range(d):
+        n1, d1 = num.pop(1), den.pop(1)
+        d1_q2 = _power_to(d1, q - 2, work)
+        d1_q1 = _product_to(d1_q2, d1, work)
+        n1_d1_q2 = _product_to(n1, d1_q2, work)
+        num = [_product_to(n1_d1_q2, c, work) - _product_to(a, d1_q1, work)
+               for a, c in zip(num, den)]
+        den = [c.truncate(-(-work // q)).frobenius(1).truncate(work)
+               - _product_to(c, d1_q1, work) for c in den]
+    terms = [(s, a) for s, a in den[0].coeffs.items() if s]
+    return _times_u_qd_over_pc(num[0].shift(qd), 0, terms)
 
 
 def u_c_expansion(c, prec, reversed_phi=None):

@@ -141,6 +141,8 @@ CHECK_ARGS = {
     "recurrence-l2": ["--uprec", "27", "--k", "4"],
     "sym-det": ["--trials", "5"],
     "partitions": ["--n", "8"],
+    "coset-sum": ["--uprec", "27"],
+    "ee-h-tau-d2": ["--uprec", "27"],
 }
 
 

@@ -174,8 +174,8 @@ def test_ee_basics(field):
 
 @pytest.mark.parametrize("field", [F2, F3, F4])
 def test_ee_equals_h_tau_d2_with_pinned_sign(field):
-    cat = catalog(field, 30)
-    assert cat.ee.agrees_with(cat.h * cat.d2.tau(1))
+    report = catalog(field, 30).check_ee_h_tau_d2()
+    assert report["pass"], report
 
 
 # -- power identities -----------------------------------------------------------------------

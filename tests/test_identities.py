@@ -144,6 +144,47 @@ def test_random_instance_is_reproducible():
     assert (a.vs, a.ws) != (c.vs, c.ws)
 
 
+# (p, e, n, seed) -> (vs, ws), drawn when the span was still built twice
+PINNED_DRAWS = {
+    (3, 1, 2, 0): ((5, 33), (49, 53)),
+    (2, 2, 3, 1): ((60, 253, 230), (68, 32, 130)),
+    (5, 1, 3, 7): ((49, 74, 548), (331, 154, 404)),
+    (2, 1, 4, 11): ((5, 3, 14, 9), (14, 6, 5, 15)),
+}
+
+
+@pytest.mark.parametrize("key", PINNED_DRAWS, ids=str)
+def test_random_instance_draws_are_pinned(key):
+    p, e, n, seed = key
+    inst = BruteForceInstance.random(finite_field(p, e), n, 2, seed=seed)
+    assert (inst.vs, inst.ws) == PINNED_DRAWS[key]
+
+
+def test_random_instances_from_one_rng_are_pinned():
+    rng = random.Random(3)
+    drawn = [BruteForceInstance.random(F3, 3, 1, rng=rng) for _ in range(3)]
+    assert [(inst.vs, inst.ws) for inst in drawn] == [
+        ((16, 47, 77), (30, 75, 69)), ((8, 77, 1), (60, 80, 74)),
+        ((29, 24, 60), (60, 33, 70))]
+
+
+def test_random_instance_builds_one_span(monkeypatch):
+    built = []
+    span = identities._Span
+
+    def counted(*args):
+        built.append(1)
+        return span(*args)
+    monkeypatch.setattr(identities, "_Span", counted)
+    BruteForceInstance.random(F3, 3, 2, seed=4)
+    assert len(built) == 1
+
+
+def test_random_instance_rejects_bad_l():
+    with pytest.raises(ValueError):
+        BruteForceInstance.random(F3, 2, 0, seed=1)
+
+
 def test_random_instance_raises_m_for_large_n():
     inst = BruteForceInstance.random(F2, 5, 1, seed=1)
     assert inst.ext.q == 2 ** 5
