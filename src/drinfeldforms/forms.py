@@ -259,7 +259,8 @@ class FormCatalog:
 
         One row per form; a mismatch names the first degree and the first
         differing u-exponent there, and so does a coset sum known to less
-        than the catalog precision (first_difference None)."""
+        than the catalog precision (first_difference None).  A precision
+        that reaches no term of some form certifies nothing and raises."""
         q = self.field.q
         one = BiPoly.one(self.field)
         sums = [({"form": "g"}, q - 1, None), ({"form": "h"}, 1, power_weight(q)),
@@ -268,6 +269,9 @@ class FormCatalog:
         rows = []
         for labels, power, weight in sums:
             degrees = self.summation_degrees(power)
+            if not degrees:
+                raise PrecisionError(f"precision {self.prec} reaches no term of "
+                                     f"{labels['form']}")
             row = {**labels, "degrees": len(degrees), "degree": None,
                    "first_difference": None, "pass": True}
             for d in degrees:
