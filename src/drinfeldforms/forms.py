@@ -34,7 +34,7 @@ the open-ended experiments.
 
 from .errors import PrecisionError
 from .polynomials import BiPoly, UniPoly, enumerate_monic
-from .series import (USeries, _power_to, _relaxed_solve, _reversed_phi, coset_sum,
+from .series import (USeries, _relaxed_solve, _reversed_phi, coset_sum,
                      u_c_expansion, u_c_power)
 
 
@@ -147,7 +147,9 @@ class FormCatalog:
                 return USeries.zero(field, prec)
             # sum u_c has valuation >= q**d, so its power needs it only
             # modulo u**(prec - (power - 1) q**d)
-            return _power_to(coset_sum(field, d, prec - (power - 1) * q ** d), power, prec)
+            unweighted = [BiPoly.zero(field)] * d + [BiPoly.one(field)]
+            return (coset_sum(field, d, prec - (power - 1) * q ** d, unweighted)
+                    ** power).truncate(prec)
         if power != 1:
             raise ValueError("a weighted coset sum needs power 1")
         return coset_sum(field, d, prec,
@@ -262,6 +264,8 @@ class FormCatalog:
         than the catalog precision (first_difference None).  A precision
         that reaches no term of some form certifies nothing and raises."""
         q = self.field.q
+        if any(nu < 1 for nu in nus):
+            raise ValueError("nu must be >= 1")
         one = BiPoly.one(self.field)
         sums = [({"form": "g"}, q - 1, None), ({"form": "h"}, 1, power_weight(q)),
                 ({"form": "E"}, 1, power_weight(1)), ({"form": "EE"}, 1, UniPoly.chi_t)]

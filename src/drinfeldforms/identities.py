@@ -108,15 +108,16 @@ class BruteForceInstance:
     """
 
     def __init__(self, base_field, ext, embed, vs, ws, l):
-        if len(vs) != len(ws) or not ws:
-            raise ValueError("V and W must be nonempty lists of equal length")
+        self._assign(base_field, ext, embed, vs, ws, l)
         span = _Span(ext, embed, base_field)
         for w in ws:
             if not span.extend(w):
                 raise ValueError("W elements are F_q-linearly dependent")
-        self._assign(base_field, ext, embed, vs, ws, l)
 
     def _assign(self, base_field, ext, embed, vs, ws, l):
+        """Check the shape and store; the independence of W is the caller's."""
+        if len(vs) != len(ws) or not ws:
+            raise ValueError("V and W must be nonempty lists of equal length")
         if l < 1:
             raise ValueError("l must be >= 1")
         self.base_field = base_field

@@ -408,36 +408,11 @@ def _times_pc_over_u_qd(y, qd, terms):
     return (y * pc).shift(-qd)
 
 
-def _product_to(a, b, prec):
-    """a * b, forming no coefficient at or above prec: each factor is cut
-    to what the other's valuation leaves.  The precision is that of a * b,
-    capped at prec."""
-    va, vb = a.val(), b.val()
-    if va + vb >= prec:
-        return USeries.zero(a.field, prec)
-    return a.truncate(min(a.prec, prec - vb)) * b.truncate(min(b.prec, prec - va))
-
-
-def _power_to(a, k, prec):
-    """a**k (k >= 0) by squaring, with every product formed by _product_to;
-    the precision is that of a**k, capped at prec."""
-    result = None
-    while k:
-        if k & 1:
-            result = a if result is None else _product_to(result, a, prec)
-        k >>= 1
-        if k:
-            a = _product_to(a, a, prec)
-    if result is None:
-        return USeries.one(a.field, prec)
-    return result.truncate(min(prec, result.prec))
-
-
-def coset_sum(field, d, prec, weights=None):
+def coset_sum(field, d, prec, weights):
     """sum of w(c) u_c over the q**d monic c of degree d, modulo u**prec.
 
     w is F_q-linear, given on the basis: weights[k] = w(theta**k) for
-    k <= d; None sums the u_c alone (w = 1).  Write
+    k <= d (w = 1 is weights[d] = 1, weights[k] = 0 below).  Write
     c = theta**d + sum_(k < d) c_k theta**k.  phi is F_q-linear, so
     P_c = u**(q**d) phi_c(1/u) = R_d + sum c_k R_k, with
     R_k = u**(q**d) phi_(theta**k)(1/u), and w(c) u_c = u**(q**d) N / D
@@ -465,19 +440,15 @@ def coset_sum(field, d, prec, weights=None):
         row = _phi_theta_power(field, k).coeffs
         den.append(USeries(field, work, {qd - q ** i: row[i].to_bipoly()
                                           for i in range(k + 1)}))
-    if weights is None:
-        num = [USeries.one(field, work)] + [USeries.zero(field, work)] * d
-    else:
-        num = [USeries(field, work, {0: weights[k]}) for k in (d, *range(d))]
+    num = [USeries(field, work, {0: weights[k]}) for k in (d, *range(d))]
     for _ in range(d):
         n1, d1 = num.pop(1), den.pop(1)
-        d1_q2 = _power_to(d1, q - 2, work)
-        d1_q1 = _product_to(d1_q2, d1, work)
-        n1_d1_q2 = _product_to(n1, d1_q2, work)
-        num = [_product_to(n1_d1_q2, c, work) - _product_to(a, d1_q1, work)
-               for a, c in zip(num, den)]
+        d1_q2 = (d1 ** (q - 2)).truncate(work)
+        d1_q1 = (d1_q2 * d1).truncate(work)
+        n1_d1_q2 = (n1 * d1_q2).truncate(work)
+        num = [(n1_d1_q2 * c - a * d1_q1).truncate(work) for a, c in zip(num, den)]
         den = [c.truncate(-(-work // q)).frobenius(1).truncate(work)
-               - _product_to(c, d1_q1, work) for c in den]
+               - (c * d1_q1).truncate(work) for c in den]
     terms = [(s, a) for s, a in den[0].coeffs.items() if s]
     return _times_u_qd_over_pc(num[0].shift(qd), 0, terms)
 

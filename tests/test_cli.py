@@ -182,8 +182,14 @@ def test_check_failure_exits_one(capsys, monkeypatch):
     (["--identity", "sym-det", "--trials", "0"], 2),
     (["--identity", "lemma2", "--l", "3..1"], 2),
     (["--identity", "coset-sum", "--p", "3", "--uprec", "2"], 3),
+    (["--identity", "lemma3", "--n", "0"], 2),
+    (["--identity", "lemma3", "--n", "-1"], 2),
+    (["--identity", "coset-sum", "--nu", "-1"], 2),
+    (["--identity", "coset-sum", "--nu", "0"], 2),
 ], ids=["d2-approx-no-certifiable-k", "partitions-negative-n", "lemma3-no-trials",
-        "sym-det-no-trials", "lemma2-empty-l-range", "coset-sum-no-term-of-g"])
+        "sym-det-no-trials", "lemma2-empty-l-range", "coset-sum-no-term-of-g",
+        "lemma3-no-variables", "lemma3-negative-n", "coset-sum-negative-nu",
+        "coset-sum-nu-zero"])
 def test_check_that_would_certify_nothing_is_rejected(capsys, argv, exit_code):
     code, out = run_cli(capsys, "check", *argv)
     assert code == exit_code

@@ -185,6 +185,21 @@ def test_random_instance_rejects_bad_l():
         BruteForceInstance.random(F3, 2, 0, seed=1)
 
 
+@pytest.mark.parametrize("n", [0, -1])
+def test_random_instance_rejects_no_variables(n):
+    # an empty W would make lemma3_bruteforce compare 0 with 0
+    with pytest.raises(ValueError):
+        BruteForceInstance.random(F3, n, 2, seed=1)
+
+
+def test_instance_rejects_empty_or_unequal_lists():
+    ext, embed = extension_field(F3, 4)
+    with pytest.raises(ValueError):
+        BruteForceInstance(F3, ext, embed, [], [], 2)
+    with pytest.raises(ValueError):
+        BruteForceInstance(F3, ext, embed, [1], [1, 3], 2)
+
+
 def test_random_instance_raises_m_for_large_n():
     inst = BruteForceInstance.random(F2, 5, 1, seed=1)
     assert inst.ext.q == 2 ** 5
