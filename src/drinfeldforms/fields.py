@@ -432,14 +432,19 @@ class _SlotPacking:
             planes.append(int.from_bytes(digits.tobytes(), "little"))
         return tuple(planes)
 
+    def slot_values(self, x, slots):
+        """Slots 0 .. slots - 1 of one plane (the digits it holds), as an array."""
+        digits = self._array(self.typecode)
+        digits.frombytes(x.to_bytes(slots * self.nbytes, "little"))
+        if sys.byteorder != "little":
+            digits.byteswap()
+        return digits
+
     def unpack(self, planes, slots):
         """The elements in slots 0 .. slots - 1 of the planes."""
         values = None
         for pw, x in zip(self.powers, planes):
-            digits = self._array(self.typecode)
-            digits.frombytes(x.to_bytes(slots * self.nbytes, "little"))
-            if sys.byteorder != "little":
-                digits.byteswap()
+            digits = self.slot_values(x, slots)
             if values is None:
                 values = digits
             else:

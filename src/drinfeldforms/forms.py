@@ -34,8 +34,7 @@ the open-ended experiments.
 
 from .errors import PrecisionError
 from .polynomials import BiPoly, UniPoly, enumerate_monic
-from .series import (USeries, _relaxed_solve, _reversed_phi, coset_sum,
-                     u_c_expansion, u_c_power)
+from .series import USeries, _relaxed_solve, coset_sum, u_c_expansion, u_c_power
 
 
 def t_minus_theta_pow(field, k):
@@ -75,7 +74,6 @@ class FormCatalog:
         self.prec = int(prec)
         self._monic = {}
         self._uc_pow = {}
-        self._rphi = {}
         self._cache = {}
 
     # -- summation helpers -----------------------------------------------------
@@ -98,23 +96,13 @@ class FormCatalog:
         cached = self._uc_pow.get(key)
         if cached is None:
             if power == 1:
-                cached = u_c_expansion(c, self.prec, self._reversed_phi_of(c))
+                cached = u_c_expansion(c, self.prec)
             elif 1 < power < self.field.q:
-                cached = u_c_power(self.u_c(c), c, power, self._reversed_phi_of(c))
+                cached = u_c_power(self.u_c(c), c, power)
             else:
                 cached = (self.u_c(c) ** power).truncate(self.prec)
             self._uc_pow[key] = cached
         return cached
-
-    def _reversed_phi_of(self, c):
-        """_reversed_phi(c), computed once per monic for u_c and the powers
-        1 < l < q; at q = 2 there are no such powers, so nothing is kept."""
-        rphi = self._rphi.get(c.coeffs)
-        if rphi is None:
-            rphi = _reversed_phi(c)
-            if self.field.q > 2:
-                self._rphi[c.coeffs] = rphi
-        return rphi
 
     def a_expansion(self, power, coefficient_of, degrees=None):
         """sum over monic c of coefficient_of(c) * u_c**power, modulo u**prec.
@@ -324,14 +312,14 @@ class FormCatalog:
         gq = (self.g ** q).truncate(self.prec)
         candidates = []
         for inner in (1, 2):
-            fa = (self.f_l_nu(inner, nu - 1) ** q).truncate(self.prec)
+            gq_fa = gq * (self.f_l_nu(inner, nu - 1) ** q).truncate(self.prec)
             fb = (self.f_l_nu(inner, nu - 2) ** (q * q)).truncate(self.prec)
             for twist in (2, 1, 0):
                 bracket = bracket_twisted(field, nu - 2, twist)
                 entry = {"inner": inner, "bracket_index": nu - 2,
                          "bracket_twist": twist}
                 try:
-                    rhs = self.divide_by_h_power(gq * fa - fb.scale(bracket), q - 1)
+                    rhs = self.divide_by_h_power(gq_fa - fb.scale(bracket), q - 1)
                 except (ValueError, PrecisionError) as exc:
                     entry.update({"equal": False, "first_difference": None,
                                   "division_error": str(exc)})

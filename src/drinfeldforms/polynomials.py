@@ -1,18 +1,20 @@
-"""Polynomial rings over F_q: univariate F_q[theta] and bivariate F_q[theta, t].
+"""Polynomial rings over F_q: bivariate F_q[theta, t] and its subring F_q[theta].
 
-UniPoly is the univariate ring playing the role of the base ring
-A = F_q[theta] (monic elements are the summation domain of every form);
 BiPoly is the bivariate coefficient ring F_q[theta, t] used by all
-u-expansions.  Both are immutable by convention: every operation returns
-a fresh object.
+u-expansions.  UniPoly is the one-row BiPoly (t-degree 0): the base ring
+A = F_q[theta], whose monic elements are the summation domain of every
+form.  It inherits every ring operation and adds only what belongs to A
+(coefficients, degree, monicity, theta, chi_t).  An operation returns a
+UniPoly when its operands are UniPoly, and a BiPoly otherwise.  Both are
+immutable by convention: every operation returns a fresh object.
 
-Both are packed (Kronecker substitution): theta**i t**j is slot
+A BiPoly is packed (Kronecker substitution): theta**i t**j is slot
 i + j * stride of one int per base-p digit plane, with the slot width,
-the no-carry invariant and the reduction mod p of fields._SlotPacking;
-a UniPoly is a single row.  A product is then one big-int multiply per
-pair of planes, and _product_sum, the one coefficient kernel, adds the
-raw products of many pairs before it reduces once.  Sums, negation and
-scaling are plane operations too.
+the no-carry invariant and the reduction mod p of fields._SlotPacking.
+A product is then one big-int multiply per pair of planes, and
+_product_sum, the one coefficient kernel, adds the raw products of many
+pairs before it reduces once.  Sums, negation and scaling are plane
+operations too.
 
 A raising-to-the-q trick is used throughout: in characteristic p with
 q = p**e a power f**(q**k) is plain exponent scaling (F_q-scalars are
@@ -27,188 +29,9 @@ def _same_field(a, b):
         raise ValueError("operands live over different fields")
 
 
-class UniPoly:
-    """Univariate polynomial over F_q, packed like one BiPoly row.
-
-    theta**i is slot i of the planes (one per base-p digit, see
-    fields._SlotPacking); stored planes are reduced, so equal polynomials
-    have equal planes.  `coeffs` is the trimmed tuple of coefficients,
-    decoded once on first access (or kept from the constructor).
-    """
-
-    __slots__ = ("field", "_planes", "_width", "_coeffs")
-
-    def __init__(self, field, coeffs=()):
-        coeffs = list(coeffs)
-        while coeffs and coeffs[-1] == 0:
-            coeffs.pop()
-        self.field = field
-        self._planes = field.packing.pack(coeffs)
-        self._width = len(coeffs)
-        self._coeffs = tuple(coeffs)
-
-    @classmethod
-    def _make(cls, field, planes, stride=None):
-        """The polynomial with these reduced planes (a stride is ignored:
-        there is one row)."""
-        obj = object.__new__(cls)
-        obj.field = field
-        obj._planes = planes
-        obj._width = -(-max(map(int.bit_length, planes)) // field.packing.bits)
-        obj._coeffs = None
-        return obj
-
-    @classmethod
-    def zero(cls, field):
-        return cls.constant(field, 0)
-
-    @classmethod
-    def one(cls, field):
-        return cls.constant(field, 1)
-
-    @classmethod
-    def constant(cls, field, c):
-        # digit k of c, alone in slot 0, is plane k
-        return cls._make(field, field.digits(c))
-
-    @classmethod
-    def gen(cls, field):
-        """The generator theta."""
-        return cls._make(field, (1 << field.packing.bits,) + (0,) * (field.e - 1))
-
-    @property
-    def coeffs(self):
-        if self._coeffs is None:
-            self._coeffs = tuple(self.field.packing.unpack(self._planes, self._width))
-        return self._coeffs
-
-    def _planes_at(self, stride):
-        # one row: the layout does not depend on the stride
-        return self._planes
-
-    @property
-    def degree(self):
-        """Degree, or None for the zero polynomial (callers branch explicitly)."""
-        return self._width - 1 if self._width else None
-
-    @property
-    def is_zero(self):
-        return not self._width
-
-    @property
-    def leading(self):
-        if not self._width:
-            raise ValueError("zero polynomial has no leading coefficient")
-        return self.coeffs[-1]
-
-    @property
-    def is_monic(self):
-        return bool(self._width) and self.leading == 1
-
-    def __eq__(self, other):
-        return (isinstance(other, UniPoly) and self.field == other.field
-                and self._planes == other._planes)
-
-    def __hash__(self):
-        return hash((self.field, self._planes))
-
-    def _add_multiple(self, other, c):
-        """self + c * other for an integer 1 <= c < p."""
-        _same_field(self, other)
-        mod = self.field.packing.mod
-        return UniPoly._make(self.field, tuple(mod(x + c * y)
-                                               for x, y in zip(self._planes, other._planes)))
-
-    def __add__(self, other):
-        return self._add_multiple(other, 1)
-
-    def __sub__(self, other):
-        return self._add_multiple(other, self.field.p - 1)
-
-    def __neg__(self):
-        pk = self.field.packing
-        return UniPoly._make(self.field, tuple(pk.mod((pk.p - 1) * x) for x in self._planes))
-
-    def __mul__(self, other):
-        return _product_sum(self.field, ((self, other),), UniPoly)
-
-    @classmethod
-    def sum_of_products(cls, field, pairs):
-        """sum(a * b for a, b in pairs), reduced once at the end."""
-        return _product_sum(field, pairs, cls)
-
-    def scale(self, c):
-        return _product_sum(self.field, ((self, UniPoly.constant(self.field, c)),), UniPoly)
-
-    def _pow_small(self, k):
-        result = UniPoly.one(self.field)
-        base = self
-        while k:
-            if k & 1:
-                result = result * base
-            k >>= 1
-            if k:
-                base = base * base
-        return result
-
-    def exponent_scale(self, s):
-        """theta**i -> theta**(i*s); equals self**s when s is a power of q."""
-        nbytes = self.field.packing.nbytes
-        return UniPoly._make(self.field, tuple(_spread(x, s, nbytes) for x in self._planes))
-
-    def __pow__(self, k):
-        if k < 0:
-            raise ValueError("negative exponent")
-        if k == 0:
-            return UniPoly.one(self.field)
-        q = self.field.q
-        v = 1
-        while k % q == 0:
-            k //= q
-            v *= q
-        base = self._pow_small(k)
-        return base.exponent_scale(v) if v > 1 else base
-
-    def frobenius_twist(self, k=1):
-        """Apply theta -> theta**(q**k) to the coefficients-as-polynomial.
-
-        Equals self**(q**k) because F_q-scalars are Frobenius-fixed.
-        """
-        return self.exponent_scale(self.field.q ** k)
-
-    def chi_t(self):
-        """Evaluation character theta -> t, landing in F_q[theta, t]."""
-        # slot i of one row is t**i at stride 1
-        return BiPoly._make(self.field, self._planes, 1)
-
-    def to_bipoly(self):
-        return BiPoly._make(self.field, self._planes, max(self._width, 1))
-
-    def __repr__(self):
-        if not self._width:
-            return "UniPoly(0)"
-        parts = []
-        for i, c in enumerate(self.coeffs):
-            if c:
-                parts.append(f"{c}*x^{i}" if i else f"{c}")
-        return "UniPoly(" + " + ".join(parts) + ")"
-
-
-def enumerate_monic(field, d):
-    """All q**d monic degree-d polynomials, ordered lexicographically by
-    the low-coefficient vector (a_0, ..., a_{d-1})."""
-    if d < 0:
-        raise ValueError("degree must be >= 0")
-    return [UniPoly(field, lows + (1,))
-            for lows in product(field.elements(), repeat=d)]
-
-
-def monic_below(field, n):
-    """All monic polynomials of degree < n, by increasing degree."""
-    out = []
-    for d in range(n):
-        out.extend(enumerate_monic(field, d))
-    return out
+def _result_class(a, b):
+    """The class of a result of a and b: theirs when they share it, else BiPoly."""
+    return type(a) if type(a) is type(b) else BiPoly
 
 
 def _restride(x, rows, old, new, nbytes):
@@ -238,10 +61,9 @@ def _product_sum(field, pairs, cls=None):
     """sum(a * b for a, b in pairs) as one raw accumulation, reduced at the end,
     as a cls (BiPoly by default).
 
-    The kernel of every UniPoly, BiPoly and USeries product; a UniPoly is
-    one row, so the two kinds mix freely.  All products are laid
-    out at one stride, wide enough for the largest theta-degree sum, and
-    accumulate plane by plane.  The accumulation tracks a bound on its
+    The kernel of every UniPoly, BiPoly and USeries product.  All products
+    are laid out at one stride, wide enough for the largest theta-degree
+    sum, and accumulate plane by plane.  The accumulation tracks a bound on its
     slots (see fields._SlotPacking) and reduces early when the next product
     would pass the limit; a product too large to fit even after that is
     split into chunks of the first operand that do fit.
@@ -340,11 +162,6 @@ class BiPoly:
         return obj
 
     @classmethod
-    def _from_values(cls, field, values, stride):
-        """The polynomial with values[k] in slot k, at the given stride."""
-        return cls._make(field, field.packing.pack(values), stride)
-
-    @classmethod
     def zero(cls, field):
         return cls.scalar(field, 0)
 
@@ -423,7 +240,8 @@ class BiPoly:
         """self + c * other for an integer 1 <= c < p."""
         xs, ys, stride = self._aligned(other)
         mod = self.field.packing.mod
-        return BiPoly._make(self.field, tuple(mod(x + c * y) for x, y in zip(xs, ys)), stride)
+        return _result_class(self, other)._make(
+            self.field, tuple(mod(x + c * y) for x, y in zip(xs, ys)), stride)
 
     def __add__(self, other):
         return self._add_multiple(other, 1)
@@ -433,22 +251,22 @@ class BiPoly:
 
     def __neg__(self):
         pk = self.field.packing
-        return BiPoly._make(self.field, tuple(pk.mod((pk.p - 1) * x) for x in self._planes),
-                            self._stride)
+        return self._make(self.field, tuple(pk.mod((pk.p - 1) * x) for x in self._planes),
+                          self._stride)
 
     def __mul__(self, other):
-        return _product_sum(self.field, ((self, other),))
+        return _product_sum(self.field, ((self, other),), _result_class(self, other))
 
     @classmethod
     def sum_of_products(cls, field, pairs):
-        """sum(a * b for a, b in pairs), reduced once at the end."""
-        return _product_sum(field, pairs)
+        """sum(a * b for a, b in pairs) as a cls, reduced once at the end."""
+        return _product_sum(field, pairs, cls)
 
     def scale(self, c):
-        return _product_sum(self.field, ((self, BiPoly.scalar(self.field, c)),))
+        return _product_sum(self.field, ((self, self.scalar(self.field, c)),), type(self))
 
     def _pow_small(self, k):
-        result = BiPoly.one(self.field)
+        result = self.one(self.field)
         base = self
         while k:
             if k & 1:
@@ -462,7 +280,7 @@ class BiPoly:
         if k < 0:
             raise ValueError("negative exponent")
         if k == 0:
-            return BiPoly.one(self.field)
+            return self.one(self.field)
         q = self.field.q
         v = 0
         while k % q == 0:
@@ -480,7 +298,7 @@ class BiPoly:
         s = self.field.q ** k
         twisted = self._twisted(s)
         # row j -> row j * s: lay the rows s strides apart, keep the stride
-        return BiPoly._make(self.field, twisted._planes_at(twisted._stride * s), twisted._stride)
+        return self._make(self.field, twisted._planes_at(twisted._stride * s), twisted._stride)
 
     def tau_twist(self, k=1):
         """Coefficient action of tau**k: theta -> theta**(q**k), t fixed."""
@@ -494,8 +312,8 @@ class BiPoly:
         """theta**i t**j -> theta**(i * s) t**j: slot k goes to slot k * s,
         and the stride grows by the same factor."""
         nbytes = self.field.packing.nbytes
-        return BiPoly._make(self.field, tuple(_spread(x, s, nbytes) for x in self._planes),
-                            self._stride * s)
+        return self._make(self.field, tuple(_spread(x, s, nbytes) for x in self._planes),
+                          self._stride * s)
 
     def subs_t_theta(self):
         """Substitute t -> theta (collapse the second variable into the first)."""
@@ -508,11 +326,8 @@ class BiPoly:
     def t_degree(self):
         return self._rows - 1 if self._rows else None
 
-    def sorted_terms(self):
-        return sorted(self.terms.items())
-
     def __repr__(self):
-        terms = self.sorted_terms()
+        terms = sorted(self.terms.items())
         if not terms:
             return "BiPoly(0)"
         parts = []
@@ -521,3 +336,84 @@ class BiPoly:
             parts.append(f"{v}*{mono}" if mono else f"{v}")
         return "BiPoly(" + " + ".join(parts) + ")"
 
+
+class UniPoly(BiPoly):
+    """An element of A = F_q[theta]: the BiPoly of t-degree 0.
+
+    theta**i sits in slot i of one row, so every ring operation, equality
+    and hashing are BiPoly's; an operation on two UniPoly returns a UniPoly.
+    `coeffs` is the trimmed tuple of coefficients, decoded once on first
+    access (or kept from the constructor).
+    """
+
+    __slots__ = ("_coeffs",)
+
+    def __init__(self, field, coeffs=()):
+        coeffs = list(coeffs)
+        while coeffs and coeffs[-1] == 0:
+            coeffs.pop()
+        self._set(field, field.packing.pack(coeffs), max(len(coeffs), 1))
+        self._coeffs = tuple(coeffs)
+
+    @classmethod
+    def gen(cls, field):
+        """The generator theta."""
+        return cls._make(field, (1 << field.packing.bits,) + (0,) * (field.e - 1), 2)
+
+    @property
+    def coeffs(self):
+        try:
+            return self._coeffs
+        except AttributeError:
+            # built by an operation: decode on first access
+            self._coeffs = tuple(self.field.packing.unpack(self._planes, self._width))
+            return self._coeffs
+
+    @property
+    def degree(self):
+        """Degree, or None for the zero polynomial (callers branch explicitly)."""
+        return self._width - 1 if self._width else None
+
+    @property
+    def leading(self):
+        if not self._width:
+            raise ValueError("zero polynomial has no leading coefficient")
+        return self.coeffs[-1]
+
+    @property
+    def is_monic(self):
+        return bool(self._width) and self.leading == 1
+
+    def chi_t(self):
+        """Evaluation character theta -> t, landing in F_q[theta, t]."""
+        # slot i of one row is t**i at stride 1
+        return BiPoly._make(self.field, self._planes, 1)
+
+    def to_bipoly(self):
+        return BiPoly._make(self.field, self._planes, max(self._width, 1))
+
+    def __repr__(self):
+        if not self._width:
+            return "UniPoly(0)"
+        parts = []
+        for i, c in enumerate(self.coeffs):
+            if c:
+                parts.append(f"{c}*x^{i}" if i else f"{c}")
+        return "UniPoly(" + " + ".join(parts) + ")"
+
+
+def enumerate_monic(field, d):
+    """All q**d monic degree-d polynomials, ordered lexicographically by
+    the low-coefficient vector (a_0, ..., a_{d-1})."""
+    if d < 0:
+        raise ValueError("degree must be >= 0")
+    return [UniPoly(field, lows + (1,))
+            for lows in product(field.elements(), repeat=d)]
+
+
+def monic_below(field, n):
+    """All monic polynomials of degree < n, by increasing degree."""
+    out = []
+    for d in range(n):
+        out.extend(enumerate_monic(field, d))
+    return out

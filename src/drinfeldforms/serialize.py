@@ -9,20 +9,30 @@ keys, which makes every output byte-stable across runs.
 """
 
 import json
+from functools import reduce
+from operator import or_
 
 from .fields import canonical_modulus, finite_field
 from .polynomials import BiPoly
 from .series import USeries
 
 
+def _monomials(poly):
+    """[i, j, base-p digits] for each nonzero term theta**i t**j, sorted,
+    read straight off the digit planes (slot i + j * stride, see BiPoly)."""
+    pk, stride, rows = poly.field.packing, poly._stride, poly._rows
+    planes = [pk.slot_values(x, rows * stride) for x in poly._planes]
+    # a slot is occupied when any plane has a nonzero digit there
+    occupied = pk.slot_values(reduce(or_, poly._planes), rows * stride)
+    slots = sorted((k for k, v in enumerate(occupied) if v),
+                   key=lambda k: k % stride * rows + k // stride)
+    digits = map(list, zip(*[[plane[k] for k in slots] for plane in planes]))
+    return [[k % stride, k // stride, ds] for k, ds in zip(slots, digits)]
+
+
 def bipoly_to_obj(poly):
     field = poly.field
-    obj = {
-        "p": field.p,
-        "e": field.e,
-        "monomials": [[i, j, list(field.digits(v))]
-                      for (i, j), v in poly.sorted_terms()],
-    }
+    obj = {"p": field.p, "e": field.e, "monomials": _monomials(poly)}
     if field.modulus != canonical_modulus(field.p, field.e):
         obj["modulus"] = list(field.modulus)
     return obj
@@ -57,24 +67,13 @@ def useries_from_obj(obj, field=None):
 
 def useries_tsv_rows(series):
     """One row per stored monomial: n, i, j, then the base-p digits."""
-    field = series.field
-    rows = []
-    for n, c in sorted(series.coeffs.items()):
-        for (i, j), v in c.sorted_terms():
-            rows.append("\t".join(
-                [str(n), str(i), str(j)] + [str(d) for d in field.digits(v)]))
-    return rows
+    return ["\t".join(map(str, [n, i, j, *digits]))
+            for n, c in sorted(series.coeffs.items()) for i, j, digits in _monomials(c)]
 
 
 def bipoly_tsv_rows(poly, label=None):
-    field = poly.field
-    rows = []
-    for (i, j), v in poly.sorted_terms():
-        cells = [str(i), str(j)] + [str(d) for d in field.digits(v)]
-        if label is not None:
-            cells.insert(0, label)
-        rows.append("\t".join(cells))
-    return rows
+    head = [] if label is None else [label]
+    return ["\t".join(map(str, head + [i, j, *digits])) for i, j, digits in _monomials(poly)]
 
 
 def lvalue_to_obj(value):
@@ -83,7 +82,7 @@ def lvalue_to_obj(value):
         "beta": value.beta,
         "n": value.n,
         "num": bipoly_to_obj(value.num),
-        "den": bipoly_to_obj(value.den.to_bipoly()),
+        "den": bipoly_to_obj(value.den),
     }
 
 

@@ -300,7 +300,7 @@ class CarlitzOperator:
             for j, b in enumerate(other.coeffs):
                 if b.is_zero:
                     continue
-                out[i + j] = out[i + j] + a * b.frobenius_twist(i)
+                out[i + j] = out[i + j] + a * b.tau_twist(i)
         return CarlitzOperator(f, out)
 
     def __repr__(self):
@@ -325,7 +325,7 @@ def carlitz_phi(a):
     f = a.field
     coeffs = a.coeffs
     rows = [_phi_theta_power(f, k) for k in range(len(coeffs))]
-    scalars = [(k, UniPoly.constant(f, ck)) for k, ck in enumerate(coeffs) if ck]
+    scalars = [(k, UniPoly.scalar(f, ck)) for k, ck in enumerate(coeffs) if ck]
     return CarlitzOperator(f, [
         UniPoly.sum_of_products(f, [(rows[k].coeffs[i], c) for k, c in scalars if k >= i])
         for i in range(len(coeffs))])
@@ -453,34 +453,32 @@ def coset_sum(field, d, prec, weights):
     return _times_u_qd_over_pc(num[0].shift(qd), 0, terms)
 
 
-def u_c_expansion(c, prec, reversed_phi=None):
+def u_c_expansion(c, prec):
     """Expansion of u_c = 1 / phi_c(1/u) for monic c, modulo u**prec.
 
     With d = deg c this is u**(q**d) / P_c, one relaxed division by
     the (d + 1)-term polynomial P_c; the leading term is u**(q**d) and all
-    coefficients stay in F_q[theta].  reversed_phi is _reversed_phi(c),
-    when the caller already has it.
+    coefficients stay in F_q[theta].
     """
     if prec <= 0:
         raise PrecisionError("u_c requires positive precision")
-    qd, terms = reversed_phi or _reversed_phi(c)
+    qd, terms = _reversed_phi(c)
     return _times_u_qd_over_pc(USeries.one(c.field, prec), qd, terms)
 
 
-def u_c_power(uc, c, l, reversed_phi=None):
+def u_c_power(uc, c, l):
     """u_c**l for 1 <= l <= q, at the precision of uc = u_c_expansion(c, prec).
 
     Walks up from u_c, u_c**(j+1) = u_c**j u**(q**d) / P_c, or down from the
     free Frobenius image u_c**q, u_c**(j-1) = u_c**j P_c / u**(q**d),
     whichever takes fewer steps: min(l - 1, q - l).  Each step costs at most
     d + 1 coefficient products per output coefficient, where a dense series
-    product costs one per pair of coefficients.  reversed_phi is as in
-    u_c_expansion.
+    product costs one per pair of coefficients.
     """
     field, prec, q = uc.field, uc.prec, uc.field.q
     if not 1 <= l <= q:
         raise ValueError(f"u_c_power needs 1 <= l <= q, got {l}")
-    qd, terms = reversed_phi or _reversed_phi(c)
+    qd, terms = _reversed_phi(c)
     if l * qd >= prec:
         return USeries.zero(field, prec)
     if l - 1 <= q - l:

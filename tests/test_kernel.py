@@ -3,10 +3,10 @@
 The reference below is the dict-of-terms kernel that BiPoly used before it
 was packed into slot planes: a polynomial is {(i, j): coefficient} and
 every product visits one term pair at a time through the field's element
-operations.  UniPoly has its own reference, the dense coefficient loops it
-used before.  Every UniPoly, BiPoly and USeries operation must agree with
-them exactly, over prime fields, extension fields and primes large enough
-for 32-bit slots.
+operations.  UniPoly, the one-row BiPoly, also has a dense reference: the
+coefficient loops it used before.  Every UniPoly, BiPoly and USeries
+operation must agree with them exactly, over prime fields, extension
+fields and primes large enough for 32-bit slots.
 """
 
 import pytest
@@ -288,7 +288,9 @@ def test_unipoly_matches_reference(field, data):
         spread = [0] * ((len(ca) - 1) * s + 1) if ca else []
         for i, x in enumerate(ca):
             spread[i * s] = x
-        assert a.frobenius_twist(k).coeffs == tuple(spread)
+        # on one row tau and Frobenius are the same substitution
+        for twisted in (a.tau_twist(k), a.frobenius(k)):
+            assert type(twisted) is UniPoly and twisted.coeffs == tuple(spread)
     # a kernel result equals (and hashes like) the same polynomial built
     # from its coefficients
     prod = a * b
@@ -306,7 +308,40 @@ def test_unipoly_pow_matches_reference(field, data):
     expected = (1,)
     for _ in range(k):
         expected = ref_uni_mul(field, expected, ca)
-    assert (UniPoly(field, ca) ** k).coeffs == expected
+    power = UniPoly(field, ca) ** k
+    assert type(power) is UniPoly and power.coeffs == expected
+
+
+def uni_terms(coeffs):
+    return {(i, 0): c for i, c in enumerate(coeffs) if c}
+
+
+@pytest.mark.parametrize("field", FIELDS, ids=FIELD_IDS)
+@settings(max_examples=15)
+@given(data=st.data())
+def test_unipoly_is_the_one_row_bipoly(field, data):
+    ca, cb = data.draw(uni_coeffs(field)), data.draw(uni_coeffs(field))
+    t = nonzero(data.draw(term_maps(field)))
+    c = data.draw(st.integers(0, field.q - 1))
+    u, v, b = UniPoly(field, ca), UniPoly(field, cb), BiPoly(field, t)
+    tu = uni_terms(ca)
+    # an operation on two UniPoly stays in A; any BiPoly operand leaves it
+    for op in (lambda x, y: x + y, lambda x, y: x - y, lambda x, y: x * y):
+        assert type(op(u, v)) is UniPoly
+        assert type(op(u, v.to_bipoly())) is BiPoly and op(u, v.to_bipoly()) == op(u, v)
+        assert type(op(u, b)) is BiPoly and type(op(b, u)) is BiPoly
+    for unary in (-u, u.scale(c), u ** 2, u.tau_twist(1), u.frobenius(1)):
+        assert type(unary) is UniPoly
+    assert type(UniPoly.sum_of_products(field, [(u, v)])) is UniPoly
+    assert type(BiPoly.sum_of_products(field, [(u, v)])) is BiPoly
+    # mixed with a multi-row BiPoly, against the dict reference
+    assert (u + b).terms == ref_add(field, tu, t)
+    assert (b - u).terms == ref_add(field, t, ref_neg(field, tu))
+    assert (u * b).terms == (b * u).terms == ref_mul(field, tu, t)
+    # equality and hashing do not see the class
+    assert u == u.to_bipoly() and u.to_bipoly() == u
+    assert hash(u) == hash(u.to_bipoly())
+    assert (u == b) == (tu == t)
 
 
 def test_unipoly_products_run_through_the_kernel(monkeypatch):

@@ -6,9 +6,9 @@ import pytest
 from drinfeldforms.fields import canonical_modulus, finite_field
 from drinfeldforms.forms import FormCatalog
 from drinfeldforms.identities import pellarin_partial
-from drinfeldforms.polynomials import BiPoly
+from drinfeldforms.polynomials import BiPoly, UniPoly
 from drinfeldforms.series import USeries
-from drinfeldforms.serialize import (bipoly_from_obj, bipoly_to_obj,
+from drinfeldforms.serialize import (bipoly_from_obj, bipoly_to_obj, bipoly_tsv_rows,
                                      canonical_json, lvalue_to_obj,
                                      useries_from_obj, useries_to_obj,
                                      useries_tsv_rows)
@@ -39,6 +39,23 @@ def test_useries_round_trip():
     assert obj["prec"] == 15
     assert [t[0] for t in obj["terms"]] == sorted(t[0] for t in obj["terms"])
     assert useries_from_obj(obj) == series
+
+
+@pytest.mark.parametrize("p, e", [(3, 1), (2, 2), (2, 3), (3, 2), (251, 1)])
+def test_monomials_read_off_any_layout(p, e):
+    # the encoder reads the digit planes; it must not depend on the stride
+    # a polynomial carries, nor on how many rows it has
+    field = finite_field(p, e)
+    top = field.q - 1
+    poly = BiPoly(field, {(0, 0): 1, (2, 1): top, (1, 3): field.q // 2 + 1})
+    wide = BiPoly(field, {(40, 0): 1})
+    u = UniPoly(field, [0, top, 1])
+    for b in (poly, (poly + wide) - wide, poly.tau_twist(2), poly.frobenius(1) * poly,
+              u, u ** 5, u.chi_t(), BiPoly.zero(field)):
+        expected = [[i, j, list(field.digits(v))] for (i, j), v in sorted(b.terms.items())]
+        assert bipoly_to_obj(b)["monomials"] == expected
+        assert bipoly_tsv_rows(b, "x") == ["\t".join(map(str, ["x", i, j, *ds]))
+                                          for i, j, ds in expected]
 
 
 def test_useries_tsv_rows_align_with_json():

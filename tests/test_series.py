@@ -197,7 +197,7 @@ def test_phi_constant():
 def test_phi_theta_squared(field):
     theta = UniPoly.gen(field)
     op = carlitz_phi(theta * theta)
-    expected_mid = theta.frobenius_twist(1) + theta   # theta^q + theta
+    expected_mid = theta.tau_twist(1) + theta   # theta^q + theta
     assert op.coeffs == (theta * theta, expected_mid, UniPoly.one(field))
 
 
