@@ -293,11 +293,10 @@ class FormCatalog:
         lhs = (self.f_l_nu(1, nu) ** l).truncate(self.prec)
         return compare_series(lhs, self.f_l_nu(l, nu))
 
-    def divide_by_h_power(self, x, k):
-        """Exact division by h**k via h = u * unit; raises if not divisible."""
-        unit_inv = self._cached(("h_unit_inv", k),
-                                lambda: self.h.shift(-1).inv() ** k)
-        return (x * unit_inv).shift(-k)
+    def _h_unit_inv(self, k):
+        """(h / u)**(-k), cached: h = u * unit, so x / h**k is
+        (x * _h_unit_inv(k)).shift(-k), which raises if x is not divisible."""
+        return self._cached(("h_unit_inv", k), lambda: self.h.shift(-1).inv() ** k)
 
     def resolve_recursive(self, nu):
         """Test the candidate recursions
@@ -314,12 +313,19 @@ class FormCatalog:
         for inner in (1, 2):
             gq_fa = gq * (self.f_l_nu(inner, nu - 1) ** q).truncate(self.prec)
             fb = (self.f_l_nu(inner, nu - 2) ** (q * q)).truncate(self.prec)
+            # the division by h**(q-1) is linear: both parts meet the unit
+            # inverse once for all three brackets.  val(gq_fa) >= q and
+            # val(fb) >= q**2, so the products keep precision prec.
+            parts = None
             for twist in (2, 1, 0):
                 bracket = bracket_twisted(field, nu - 2, twist)
                 entry = {"inner": inner, "bracket_index": nu - 2,
                          "bracket_twist": twist}
                 try:
-                    rhs = self.divide_by_h_power(gq_fa - fb.scale(bracket), q - 1)
+                    if parts is None:
+                        unit_inv = self._h_unit_inv(q - 1)
+                        parts = gq_fa * unit_inv, fb * unit_inv
+                    rhs = (parts[0] - parts[1].scale(bracket)).shift(1 - q)
                 except (ValueError, PrecisionError) as exc:
                     entry.update({"equal": False, "first_difference": None,
                                   "division_error": str(exc)})

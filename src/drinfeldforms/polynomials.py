@@ -67,42 +67,71 @@ def _product_sum(field, pairs, cls=None):
     slots (see fields._SlotPacking) and reduces early when the next product
     would pass the limit; a product too large to fit even after that is
     split into chunks of the first operand that do fit.
+
+    What the kernel needs of an operand is paid once per operand, not once
+    per pair: its popcount is cached on the object (`_pop`, see BiPoly),
+    the field is compared by identity (fields are interned) before
+    equality, and an operand is laid out again only when it has several
+    rows at another stride.
     """
     pk = field.packing
-    p, weight, limit = pk.p, pk.weight, pk.limit
     shaped = []
     stride = 1
-    for a, b in pairs:
-        _same_field(a, b)
+    for pair in pairs:
+        a, b = pair
+        if a.field is not field or b.field is not field:
+            _same_field(a, b)
         if a._width and b._width:
-            shaped.append((a, b))
-            stride = max(stride, a._width + b._width - 1)
+            shaped.append(pair)
+            width = a._width + b._width - 1
+            if width > stride:
+                stride = width
+    weight, limit = pk.weight, pk.limit
     acc = [0] * (2 * pk.e - 1)
     bound = 0
-    room = limit - (p - 1)
     for a, b in shaped:
-        xs = a._planes_at(stride)
-        ys = b._planes_at(stride)
-        pop_y = sum(map(int.bit_count, ys))
-        step = weight * min(sum(map(int.bit_count, xs)), pop_y)
-        pieces = ((xs, 0),)
-        if step > room:
-            # a chunk takes `slots` slots of each of the e planes, so it
-            # holds at most e * slots nonzero digits
-            slots = room // (weight * pk.e)
-            pieces = _chunks(xs, slots, pk.bits)
-            step = weight * min(pk.e * slots, pop_y)
-        for xs, shift in pieces:
-            if bound + step > limit:
-                acc = list(pk.reduce(acc)) + [0] * (pk.e - 1)
-                bound = p - 1
-            for k, x in enumerate(xs):
-                if x:
-                    for l, y in enumerate(ys):
-                        if y:
-                            acc[k + l] += (x * y) << shift
-            bound += step
+        xs = a._planes if a._rows < 2 or a._stride == stride else a._planes_at(stride)
+        ys = b._planes if b._rows < 2 or b._stride == stride else b._planes_at(stride)
+        pop_x = a._pop
+        if pop_x is None:
+            pop_x = a._pop = sum(map(int.bit_count, xs))
+        pop_y = b._pop
+        if pop_y is None:
+            pop_y = b._pop = sum(map(int.bit_count, ys))
+        step = weight * (pop_x if pop_x < pop_y else pop_y)
+        if bound + step > limit:
+            if step > limit - (pk.p - 1):
+                acc, bound = _add_split(pk, acc, bound, xs, ys, pop_y)
+                continue
+            acc = list(pk.reduce(acc)) + [0] * (pk.e - 1)
+            bound = pk.p - 1
+        for k, x in enumerate(xs):
+            if x:
+                for l, y in enumerate(ys):
+                    if y:
+                        acc[k + l] += x * y
+        bound += step
     return (cls or BiPoly)._make(field, pk.reduce(acc), stride)
+
+
+def _add_split(pk, acc, bound, xs, ys, pop_y):
+    """Add xs * ys to the accumulation acc, whose slots are at most bound,
+    in chunks of xs that each fit after a reduction: (acc, bound) after."""
+    # a chunk takes `slots` slots of each of the e planes, so it holds at
+    # most e * slots nonzero digits
+    slots = (pk.limit - (pk.p - 1)) // (pk.weight * pk.e)
+    step = pk.weight * min(pk.e * slots, pop_y)
+    for piece, shift in _chunks(xs, slots, pk.bits):
+        if bound + step > pk.limit:
+            acc = list(pk.reduce(acc)) + [0] * (pk.e - 1)
+            bound = pk.p - 1
+        for k, x in enumerate(piece):
+            if x:
+                for l, y in enumerate(ys):
+                    if y:
+                        acc[k + l] += (x * y) << shift
+        bound += step
+    return acc, bound
 
 
 def _chunks(xs, slots, bits):
@@ -128,9 +157,14 @@ class BiPoly:
     Products are one big-int multiply per pair of planes; tau and Frobenius
     spread the slots.  `terms` gives the {(i, j): coefficient} view,
     built on each access.
+
+    An object is never changed once made.  The one datum it caches is
+    `_pop`, the popcount of its planes (the kernel's no-carry bound), set
+    by the first product that reads it; a restride does not change it.
+    No other layout of the planes is kept.
     """
 
-    __slots__ = ("field", "_planes", "_stride", "_rows", "_width")
+    __slots__ = ("field", "_planes", "_stride", "_rows", "_width", "_pop")
 
     def __init__(self, field, terms=None):
         terms = {k: v for k, v in (terms or {}).items() if v}
@@ -144,6 +178,8 @@ class BiPoly:
         self.field = field
         self._planes = planes
         self._stride = stride
+        # the popcount of the planes, counted by the kernel on first use
+        self._pop = None
         # rows: the t-degree + 1 (0 for zero); width: a bound on the
         # theta-length of every row, exact for a single row
         bits = field.packing.bits

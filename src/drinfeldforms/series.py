@@ -355,8 +355,9 @@ def _relaxed_solve(field, prec, seed, rules):
     x_(k*scale + m) for every (m, a) in offsets, which must be sorted by m;
     transform None means the identity.  The solve is relaxed: a nonzero x_k
     pushes its pairs to the pending lists of the exponents it reaches, so
-    an exponent nobody reaches costs one dict lookup, and every other
-    exponent one BiPoly.sum_of_products.  A contribution lands only above
+    an exponent nobody reaches costs one dict lookup, an exponent only its
+    seed reaches takes the seed with no product, and every other exponent
+    costs one BiPoly.sum_of_products.  A contribution lands only above
     its source (k*scale + m > k): x_k is final once found, so the term of
     x_0 in itself, such as g_0 tau(x_0) in the d2 recurrence, is left to
     the seed.  Returns {n: x_n} for the nonzero x_n.
@@ -368,7 +369,11 @@ def _relaxed_solve(field, prec, seed, rules):
         pairs = pending.pop(n, None)
         if pairs is None:
             continue
-        xn = BiPoly.sum_of_products(field, pairs)
+        if len(pairs) == 1 and pairs[0][0] is one:
+            # only the seed reaches x_n: it is x_n as it is
+            xn = pairs[0][1]
+        else:
+            xn = BiPoly.sum_of_products(field, pairs)
         if xn.is_zero:
             continue
         x[n] = xn

@@ -231,6 +231,47 @@ def test_single_product_beyond_slot_capacity_is_split(p, e, length, monkeypatch)
     assert chunks
 
 
+# -- cached per-operand data -------------------------------------------------------------
+
+POPCOUNT_FIELDS = [finite_field(p, e) for p, e in [(2, 1), (3, 1), (2, 2), (2, 3), (3, 2), (251, 1)]]
+
+
+def popcount(x):
+    return sum(map(int.bit_count, x._planes))
+
+
+def cached_popcount(x):
+    """The popcount the kernel keeps on x, after a product has read it."""
+    x * x.one(x.field)
+    return x._pop
+
+
+@pytest.mark.parametrize("field", POPCOUNT_FIELDS, ids=[f"F{f.q}" for f in POPCOUNT_FIELDS])
+@settings(max_examples=10)
+@given(data=st.data())
+def test_cached_popcount_is_the_popcount_of_every_result(field, data):
+    # the kernel's no-carry bound reads each operand's popcount from a cache
+    # on the object; a stale or partial count would let an accumulation carry
+    t1 = data.draw(term_maps(field))
+    t2 = data.draw(term_maps(field))
+    c = data.draw(st.integers(0, field.q - 1))
+    a, b = BiPoly(field, t1), BiPoly(field, t2)
+    u = UniPoly(field, data.draw(uni_coeffs(field)))
+    v = UniPoly(field, data.draw(uni_coeffs(field)))
+    # a Frobenius twist spreads t-rows q rows apart: twist one row at large q
+    twisted = b if field.q < 10 else u.to_bipoly()
+    results = [a, b, u, a * b, a + b, a - b, -a, a.scale(c), a ** 2, twisted ** field.q,
+               BiPoly.sum_of_products(field, [(a, b), (b, a), (a, u)]),
+               a.tau_twist(1), twisted.frobenius(1), u * v, u + v, u - v, -u, u.scale(c),
+               u ** 3, UniPoly.sum_of_products(field, [(u, v), (v, v)]), u.tau_twist(2),
+               u.frobenius(1), u.chi_t(), u.to_bipoly(), u.chi_t() * a]
+    # a product of results whose counts are cached must count anew; the
+    # kernel skips zero operands and reads no count of them
+    for x in results + [x * x for x in results]:
+        if not x.is_zero:
+            assert cached_popcount(x) == popcount(x)
+
+
 # -- UniPoly ------------------------------------------------------------------------------
 
 

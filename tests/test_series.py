@@ -1,6 +1,8 @@
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from drinfeldforms import series
 from drinfeldforms.errors import PrecisionError
@@ -178,6 +180,54 @@ def test_shift_validation():
 def test_constructor_rejects_nonpositive_precision():
     with pytest.raises(PrecisionError):
         USeries.zero(F3, 0)
+
+
+# -- the precision property ------------------------------------------------------------------
+
+PROPERTY_FIELDS = [finite_field(2), finite_field(3), finite_field(2, 2), F5]
+
+
+@st.composite
+def series_pairs(draw, field, low, high, unit=False):
+    """(series at precision low, the same series known to precision high): a
+    sparse draw with gaps, often of positive valuation."""
+    val = 0 if unit else draw(st.integers(0, min(3, high - 1)))
+    exps = draw(st.sets(st.integers(val, high - 1), max_size=6))
+    coeffs = {}
+    for n in exps:
+        terms = draw(st.dictionaries(st.tuples(st.integers(0, 3), st.integers(0, 1)),
+                                     st.integers(1, field.q - 1), min_size=1, max_size=3))
+        coeffs[n] = BiPoly(field, terms)
+    if unit:
+        coeffs[0] = BiPoly.scalar(field, draw(st.integers(1, field.q - 1)))
+    return USeries(field, low, coeffs), USeries(field, high, coeffs)
+
+
+def truncates_back(high, low):
+    return high.prec >= low.prec and high.truncate(low.prec) == low
+
+
+@pytest.mark.parametrize("field", PROPERTY_FIELDS, ids=lambda f: f"F{f.q}")
+@settings(max_examples=40)
+@given(data=st.data())
+def test_recomputing_at_higher_precision_truncates_back(field, data):
+    # the README's promise for every USeries operation: for P < P', the
+    # result at P' truncated to the precision of the result at P is it
+    low = data.draw(st.integers(1, 12))
+    high = low + data.draw(st.integers(1, 8))
+    a, a_hi = data.draw(series_pairs(field, low, high))
+    b, b_hi = data.draw(series_pairs(field, low, high))
+    k = data.draw(st.sampled_from([0, 1, 2, 3, field.q, field.q + 1]))
+    assert truncates_back(a_hi * b_hi, a * b)
+    assert truncates_back(a_hi ** k, a ** k)
+    for j in (1, 2):
+        assert truncates_back(a_hi.tau(j), a.tau(j))
+        assert truncates_back(a_hi.frobenius(j), a.frobenius(j))
+    m = data.draw(st.integers(-min(a.val(), low - 1), 4))
+    assert truncates_back(a_hi.shift(m), a.shift(m))
+    c, c_hi = data.draw(series_pairs(field, low, high, unit=True))
+    assert truncates_back(c_hi.inv(), c.inv())
+    assert truncates_back(c_hi.inv() * a_hi, c.inv() * a)
 
 
 # -- Carlitz module --------------------------------------------------------------------------
