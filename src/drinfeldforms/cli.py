@@ -163,10 +163,11 @@ def _tsv_document(header, rows):
     return "\n".join(lines) + "\n"
 
 
-def _report_rows(reports):
+def _report_rows(reports, name):
+    """TSV rows of reports; a row that names no check is labelled `name`."""
     rows = []
     for r in reports:
-        label = r.get("check") or r.get("identity") or "check"
+        label = r.get("check") or r.get("identity") or name
         params = ",".join(f"{k}={r[k]}" for k in sorted(r)
                           if k not in ("check", "identity", "pass", "equal",
                                        "first_difference"))
@@ -344,7 +345,7 @@ def cmd_check(args):
     all_pass = all(r["pass"] for r in reports)
     header = _header(args, field, {"identity": args.identity})
     if args.format == "tsv":
-        _emit(args, _tsv_document(header, _report_rows(reports)))
+        _emit(args, _tsv_document(header, _report_rows(reports, args.identity)))
     else:
         _emit(args, {"header": header, "result": reports, "pass": all_pass})
     return 0 if all_pass else 1
@@ -384,7 +385,7 @@ def cmd_experiment(args):
     reports, extra = EXPERIMENTS[args.name](args, catalog)
     header = _header(args, field, {"name": args.name, **extra})
     if args.format == "tsv":
-        _emit(args, _tsv_document(header, _report_rows(reports)))
+        _emit(args, _tsv_document(header, _report_rows(reports, args.name)))
     else:
         _emit(args, {"header": header, "result": reports})
     return 0

@@ -11,10 +11,11 @@ immutable by convention: every operation returns a fresh object.
 A BiPoly is packed (Kronecker substitution): theta**i t**j is slot
 i + j * stride of one int per base-p digit plane, with the slot width,
 the no-carry invariant and the reduction mod p of fields._SlotPacking.
-A product is then one big-int multiply per pair of planes, and
-_product_sum, the one coefficient kernel, adds the raw products of many
-pairs before it reduces once.  Sums, negation and scaling are plane
-operations too.
+A product is then one big-int multiply per pair of planes (or, when
+both operands have several t-rows, one per row of the operand with fewer
+rows), and _product_sum, the one coefficient kernel, adds the raw
+products of many pairs before it reduces once.  Sums, negation and
+scaling are plane operations too.
 
 A raising-to-the-q trick is used throughout: in characteristic p with
 q = p**e a power f**(q**k) is plain exponent scaling (F_q-scalars are
@@ -63,16 +64,25 @@ def _product_sum(field, pairs, cls=None):
 
     The kernel of every UniPoly, BiPoly and USeries product.  All products
     are laid out at one stride, wide enough for the largest theta-degree
-    sum, and accumulate plane by plane.  The accumulation tracks a bound on its
-    slots (see fields._SlotPacking) and reduces early when the next product
-    would pass the limit; a product too large to fit even after that is
-    split into chunks of the first operand that do fit.
+    sum, and accumulate plane by plane.  A pair with a one-row operand is
+    one Kronecker product per pair of planes.  When both operands have
+    several t-rows, the one with fewer rows is multiplied row by row: each
+    row is read off its own planes (shift and mask at its own stride) and
+    its product with the other operand is added j strides up for row j.
+    So that operand is never laid out again, and the padding between its
+    rows is never multiplied.  The choice depends on row counts alone.
+
+    The accumulation tracks a bound on its slots (see fields._SlotPacking)
+    and reduces early when the next product would pass the limit; the bound
+    is the same whether a product is split into rows or not, as the raw sum
+    is.  A product too large to fit even after a reduction is laid out
+    whole and added in chunks of the first operand that do fit.
 
     What the kernel needs of an operand is paid once per operand, not once
     per pair: its popcount is cached on the object (`_pop`, see BiPoly),
     the field is compared by identity (fields are interned) before
     equality, and an operand is laid out again only when it has several
-    rows at another stride.
+    rows at another stride and is not the one split into rows.
     """
     pk = field.packing
     shaped = []
@@ -86,31 +96,52 @@ def _product_sum(field, pairs, cls=None):
             width = a._width + b._width - 1
             if width > stride:
                 stride = width
-    weight, limit = pk.weight, pk.limit
+    weight, limit, bits = pk.weight, pk.limit, pk.bits
     acc = [0] * (2 * pk.e - 1)
     bound = 0
     for a, b in shaped:
-        xs = a._planes if a._rows < 2 or a._stride == stride else a._planes_at(stride)
-        ys = b._planes if b._rows < 2 or b._stride == stride else b._planes_at(stride)
         pop_x = a._pop
         if pop_x is None:
-            pop_x = a._pop = sum(map(int.bit_count, xs))
+            pop_x = a._pop = sum(map(int.bit_count, a._planes))
         pop_y = b._pop
         if pop_y is None:
-            pop_y = b._pop = sum(map(int.bit_count, ys))
+            pop_y = b._pop = sum(map(int.bit_count, b._planes))
         step = weight * (pop_x if pop_x < pop_y else pop_y)
         if bound + step > limit:
             if step > limit - (pk.p - 1):
-                acc, bound = _add_split(pk, acc, bound, xs, ys, pop_y)
+                acc, bound = _add_split(pk, acc, bound, a._planes_at(stride),
+                                        b._planes_at(stride), pop_y)
                 continue
             acc = list(pk.reduce(acc)) + [0] * (pk.e - 1)
             bound = pk.p - 1
+        bound += step
+        if a._rows < 2:
+            xs = a._planes
+            ys = b._planes if b._rows < 2 or b._stride == stride else b._planes_at(stride)
+        elif b._rows < 2:
+            xs = a._planes if a._stride == stride else a._planes_at(stride)
+            ys = b._planes
+        else:
+            # both have several rows: split the one with fewer rows into rows
+            if b._rows < a._rows:
+                a, b = b, a
+            ys = b._planes if b._stride == stride else b._planes_at(stride)
+            width = a._stride * bits
+            mask = (1 << width) - 1
+            for j in range(a._rows):
+                shift = j * stride * bits
+                for k, x in enumerate(a._planes):
+                    x = (x >> j * width) & mask
+                    if x:
+                        for l, y in enumerate(ys):
+                            if y:
+                                acc[k + l] += (x * y) << shift
+            continue
         for k, x in enumerate(xs):
             if x:
                 for l, y in enumerate(ys):
                     if y:
                         acc[k + l] += x * y
-        bound += step
     return (cls or BiPoly)._make(field, pk.reduce(acc), stride)
 
 

@@ -5,15 +5,15 @@ of {0, ..., n-1} whose shifted copies S_i + j (0 <= j < i) tile
 {0, ..., n-1}: an element of S_i is the left endpoint of a length-i
 tile.  For r = 2 the count is the Fibonacci-style square/domino number.
 
-Evaluating one product per tile pattern,
+The sum of one product per tile pattern,
 
     G_k = - sum over (S_1, S_2) of
             prod_{j in S_1} g**(q**j) *
             prod_{i in S_2} (t - theta**(q**(i+1))) delta**(q**i),
 
-gives a non-recursive construction whose negative agrees with d2 modulo
-u**(q**(k-1) (q-1)), which check_d2_approx certifies against the
-recurrence solution FormCatalog.d2.
+is summed by grouping the patterns by their last tile (_tiling_sum).
+Its negative agrees with d2 modulo u**(q**(k-1) (q-1)), which
+check_d2_approx certifies against the recurrence solution FormCatalog.d2.
 """
 
 from .errors import PrecisionError
@@ -76,23 +76,35 @@ def partition_counts(n_max):
 
 
 def g1k_shadowed(catalog, k):
-    """The closed-form sequence entry G_k built from order-2 partitions.
+    """The closed-form sequence entry G_k = -T_k built from order-2 partitions.
 
     G_0 = -1 (empty tiling), G_1 = -g, G_2 = -g**(q+1) - (t - theta**q) delta.
     """
     if k < 0:
         raise ValueError("k must be >= 0")
-    field, prec, q = catalog.field, catalog.prec, catalog.field.q
-    total = USeries.zero(field, prec)
-    for s1, s2 in enumerate_shadowed(2, k):
-        term = USeries.one(field, prec)
-        for j in sorted(s1):
-            term = (term * catalog.g.frobenius(j)).truncate(prec)
-        for i in sorted(s2):
-            term = (term * catalog.delta.frobenius(i)).truncate(prec)
-            term = term.scale(t_minus_theta_pow(field, q ** (i + 1)))
-        total = total + term
-    return -total
+    return -_tiling_sum(catalog, k)
+
+
+def _tiling_sum(catalog, k):
+    """T_k, the sum over the order-2 partitions of k of the products of
+    their tiles, cached on the catalog.
+
+    Grouped by the last tile, a square at k - 1 or a domino at k - 2,
+
+        T_k = T_(k-1) g**(q**(k-1)) + T_(k-2) delta**(q**(k-2)) (t - theta**(q**(k-1))),
+
+    with T_0 = 1 and T_1 = g, so each T_k costs two series products."""
+    def build():
+        field, prec, q = catalog.field, catalog.prec, catalog.field.q
+        if k == 0:
+            return USeries.one(field, prec)
+        total = (_tiling_sum(catalog, k - 1) * catalog.g.frobenius(k - 1)).truncate(prec)
+        if k == 1:
+            return total
+        domino = (_tiling_sum(catalog, k - 2) * catalog.delta.frobenius(k - 2)).truncate(prec)
+        return total + domino.scale(t_minus_theta_pow(field, q ** (k - 1)))
+
+    return catalog._cached(("tiling", k), build)
 
 
 def check_d2_approx(catalog, k):

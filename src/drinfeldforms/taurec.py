@@ -178,9 +178,18 @@ def sym_power_matrix(a, b, c, d, l):
 
 
 def matrix_det(matrix):
-    """Determinant by expansion over column subsets (exact, division-free)."""
+    """Determinant by Laplace expansion along the rows, memoised on the set
+    of columns left (exact, division-free, for any square matrix).
+
+    The rows are expanded sparsest first, so a zero near the top prunes
+    every minor below it; the result is negated when that order is an odd
+    permutation of the rows.  Each nonzero entry is negated once, for the
+    odd positions of the expansion."""
     n = len(matrix)
     field = matrix[0][0].field
+    order = sorted(range(n), key=lambda r: sum(not x.is_zero for x in matrix[r]))
+    # per expanded row: {column: (entry, -entry)} of its nonzero entries
+    rows = [{col: (x, -x) for col, x in enumerate(matrix[r]) if not x.is_zero} for r in order]
     memo = {}
 
     def minor(cols):
@@ -189,19 +198,19 @@ def matrix_det(matrix):
         cached = memo.get(cols)
         if cached is not None:
             return cached
-        r = n - len(cols)
+        row = rows[n - len(cols)]
         pairs = []
         for idx, col in enumerate(cols):
-            entry = matrix[r][col]
-            if entry.is_zero:
-                continue
-            sub = minor(cols[:idx] + cols[idx + 1:])
-            pairs.append((entry if idx % 2 == 0 else -entry, sub))
+            signed = row.get(col)
+            if signed is not None:
+                pairs.append((signed[idx % 2], minor(cols[:idx] + cols[idx + 1:])))
         acc = BiPoly.sum_of_products(field, pairs)
         memo[cols] = acc
         return acc
 
-    return minor(tuple(range(n)))
+    det = minor(tuple(range(n)))
+    odd = sum(order[i] > order[j] for i in range(n) for j in range(i + 1, n)) % 2
+    return -det if odd else det
 
 
 def _random_entry(field, rng):

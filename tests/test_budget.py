@@ -1,0 +1,41 @@
+"""Operation-count budgets for benchmark commands.
+
+Counts of kernel calls and restrides do not depend on the machine or its
+load, so a rise above the committed budget is a regression in the work a
+command does, caught without timing anything.  Each budget is the count
+measured when it was set; lower it when a change does less work.
+"""
+
+import contextlib
+import io
+
+from drinfeldforms import cli, polynomials, series
+
+
+def count_operations(monkeypatch, argv):
+    counts = {"kernel_calls": 0, "restrides": 0}
+    kernel, restride = polynomials._product_sum, polynomials._restride
+
+    def counted_kernel(*args):
+        counts["kernel_calls"] += 1
+        return kernel(*args)
+
+    def counted_restride(*args):
+        counts["restrides"] += 1
+        return restride(*args)
+
+    monkeypatch.setattr(polynomials, "_product_sum", counted_kernel)
+    monkeypatch.setattr(series, "_product_sum", counted_kernel)
+    monkeypatch.setattr(polynomials, "_restride", counted_restride)
+    with contextlib.redirect_stdout(io.StringIO()):
+        code = cli.main(argv.split())
+    return code, counts
+
+
+def test_sym_det_stays_within_its_count_budget(monkeypatch):
+    # the benchmark's check-symdet-q3-l1to6 at seed 1
+    code, counts = count_operations(monkeypatch,
+                                    "check --identity sym-det --p 3 --l 1..6 --seed 1")
+    assert code == 0
+    assert counts["kernel_calls"] <= 22000, counts
+    assert counts["restrides"] <= 23472, counts

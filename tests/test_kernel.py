@@ -231,6 +231,100 @@ def test_single_product_beyond_slot_capacity_is_split(p, e, length, monkeypatch)
     assert chunks
 
 
+# -- products of two multi-row operands ---------------------------------------------------
+# When both operands have several t-rows, the kernel multiplies the one with
+# fewer rows row by row, each row read off its own planes at its own stride.
+
+SPLIT_FIELDS = [finite_field(p, e) for p, e in [(2, 1), (3, 1), (2, 2), (2, 3), (3, 2), (251, 1)]]
+SPLIT_IDS = [f"F{f.q}" for f in SPLIT_FIELDS]
+ROW_COUNTS = [(2, 2), (2, 5), (3, 7), (1, 6), (7, 3), (5, 1)]
+
+
+def rows_map(field, rows, max_i=9, max_size=14):
+    """Term maps with exactly `rows` t-rows: the top row is never empty."""
+    top = st.tuples(st.tuples(st.integers(0, max_i), st.just(rows - 1)),
+                    st.integers(1, field.q - 1))
+    return st.tuples(top, term_maps(field, max_i, rows - 1, max_size)).map(
+        lambda pair: {**nonzero(pair[1]), pair[0][0]: pair[0][1]})
+
+
+def laid_out(field, t, pad):
+    """The polynomial with terms t, at its own stride (pad 0) or at a wider one."""
+    a = BiPoly(field, t)
+    if not pad:
+        return a
+    x = BiPoly(field, {(pad, 0): 1})
+    return (a + x) - x
+
+
+@pytest.mark.parametrize("rows", ROW_COUNTS, ids=[f"{r}x{s}" for r, s in ROW_COUNTS])
+@pytest.mark.parametrize("field", SPLIT_FIELDS, ids=SPLIT_IDS)
+@settings(max_examples=12)
+@given(data=st.data())
+def test_multi_row_products_match_reference(field, rows, data):
+    t1 = data.draw(rows_map(field, rows[0]))
+    t2 = data.draw(rows_map(field, rows[1]))
+    t3 = data.draw(rows_map(field, 3))
+    a = laid_out(field, t1, data.draw(st.sampled_from([0, 13, 30])))
+    b = laid_out(field, t2, data.draw(st.sampled_from([0, 11, 25])))
+    c = laid_out(field, t3, data.draw(st.sampled_from([0, 17])))
+    assert (a.t_degree(), b.t_degree()) == (rows[0] - 1, rows[1] - 1)
+    ab = ref_mul(field, t1, t2)
+    assert (a * b).terms == ab
+    assert (b * a).terms == ab
+    # in one accumulation with pairs of other shapes, so that the product
+    # stride is wider than either operand needs
+    expected = ref_add(field, ref_add(field, ab, ref_mul(field, t3, t1)),
+                       ref_mul(field, t2, t3))
+    got = BiPoly.sum_of_products(field, [(a, b), (c, a), (b, c)])
+    assert got.terms == expected
+    # a product's own layout as an operand again
+    assert ((a * b) * c).terms == ref_mul(field, ab, t3)
+
+
+def dense_rows(field, rows, width):
+    return {(i, j): field.q - 1 for i in range(width) for j in range(rows)}
+
+
+@pytest.mark.parametrize("field", SPLIT_FIELDS, ids=SPLIT_IDS)
+def test_sum_of_multi_row_products_reduces_early(field):
+    # all-(q-1) operands make every product slot as large as it can be; the
+    # number of pairs is just past what one accumulation may hold, so the
+    # kernel must reduce between row-split products
+    pk = field.packing
+    t1, t2, t3 = dense_rows(field, 2, 6), dense_rows(field, 5, 4), dense_rows(field, 3, 3)
+    a, b, c = BiPoly(field, t1), BiPoly(field, t2), BiPoly(field, t3)
+    pop = min(popcount(a), popcount(c))
+    assert pk.weight * pop <= pk.limit - (pk.p - 1)
+    count = pk.limit // (pk.weight * pop) + 2
+    pairs = [(a, b), (c, a)] * count
+    reductions = []
+    real_reduce = pk.reduce
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(pk, "reduce", lambda raw: reductions.append(1) or real_reduce(raw))
+        got = BiPoly.sum_of_products(field, pairs)
+    once = ref_add(field, ref_mul(field, t1, t2), ref_mul(field, t3, t1))
+    assert got.terms == ref_scale(field, once, field.scalar(count % field.p))
+    assert len(reductions) > 1
+
+
+@pytest.mark.parametrize("p, e", [(2, 1), (2, 2), (2, 3)])
+def test_multi_row_product_beyond_slot_capacity_is_split(p, e, monkeypatch):
+    # one product of two dense multi-row operands overlaps in more slots than
+    # one accumulation may hold: it is laid out whole and added in chunks
+    field = finite_field(p, e)
+    t1, t2 = dense_rows(field, 3, 100), dense_rows(field, 4, 90)
+    a, b = BiPoly(field, t1), BiPoly(field, t2)
+    pk = field.packing
+    assert pk.weight * min(popcount(a), popcount(b)) > pk.limit
+    chunks = []
+    real_chunks = polynomials._chunks
+    monkeypatch.setattr(polynomials, "_chunks",
+                        lambda *args: chunks.append(1) or real_chunks(*args))
+    assert (a * b).terms == ref_mul(field, t1, t2)
+    assert chunks
+
+
 # -- cached per-operand data -------------------------------------------------------------
 
 POPCOUNT_FIELDS = [finite_field(p, e) for p, e in [(2, 1), (3, 1), (2, 2), (2, 3), (3, 2), (251, 1)]]

@@ -1,4 +1,5 @@
 import random
+from itertools import permutations
 from math import comb
 
 import pytest
@@ -235,6 +236,83 @@ def test_sym_power_matches_triple_loop_reference(field):
             if trial == 2:
                 b = zero  # a zero corner leaves zero binomial rows
             assert sym_power_matrix(a, b, c, d, l) == sym_power_reference(a, b, c, d, l)
+
+
+def leibniz_det(matrix):
+    """sum over permutations s of sign(s) * prod_i matrix[i][s(i)]."""
+    n = len(matrix)
+    field = matrix[0][0].field
+    total = BiPoly.zero(field)
+    for perm in permutations(range(n)):
+        inversions = sum(perm[i] > perm[j] for i in range(n) for j in range(i + 1, n))
+        term = BiPoly.one(field)
+        for i, j in enumerate(perm):
+            term = term * matrix[i][j]
+        total = total - term if inversions % 2 else total + term
+    return total
+
+
+def sparse_matrix(field, rng, n):
+    """An n x n matrix whose rows have independently drawn densities, so
+    that the sparsest-first order of the rows is any permutation."""
+    zero = BiPoly.zero(field)
+    rows = []
+    for _ in range(n):
+        density = rng.random()
+        rows.append([rand_bipoly(field, rng) if rng.random() < density else zero
+                     for _ in range(n)])
+    return rows
+
+
+@pytest.mark.parametrize("field", [F2, F3, F4, F5])
+def test_matrix_det_matches_leibniz(field):
+    rng = random.Random(300 + field.q)
+    zero = BiPoly.zero(field)
+    for n in range(1, 6):
+        for trial in range(12):
+            m = sparse_matrix(field, rng, n)
+            if trial == 1:
+                m[rng.randrange(n)] = [zero] * n
+            elif trial == 2:
+                col = rng.randrange(n)
+                for row in m:
+                    row[col] = zero
+            assert matrix_det(m) == leibniz_det(m)
+
+
+def test_matrix_det_sign_of_reordered_rows():
+    # an upper triangular matrix lists its rows densest first, so sparsest
+    # first is the reverse order: odd for n = 2 and 3, even for n = 4 and 5.
+    # Its determinant is the product of the diagonal.
+    rng = random.Random(7)
+    zero = BiPoly.zero(F3)
+    for n in range(2, 6):
+        m = [[rand_bipoly(F3, rng) if j >= i else zero for j in range(n)] for i in range(n)]
+        diagonal = BiPoly.one(F3)
+        for i in range(n):
+            diagonal = diagonal * m[i][i]
+        assert matrix_det(m) == diagonal == leibniz_det(m)
+
+
+def test_matrix_det_prunes_lucas_sparse_sym_power(monkeypatch):
+    # over F_3, Sym^3 has (a + cZ)**3 = a**3 + c**3 Z**3 and (b + dZ)**3 =
+    # b**3 + d**3 Z**3 in columns 0 and 3, so rows 1 and 2 are nonzero only
+    # in columns 1 and 2.  Expanded from those rows, the minors left are
+    # {0,1,2,3}, {0,2,3}, {0,1,3}, {0,3}, {0} and {3}: 6 sums, against the
+    # 2**4 - 1 = 15 minors of a dense 4 x 4 and 12 in the given row order.
+    a, b = BiPoly(F3, {(1, 0): 1}), BiPoly(F3, {(0, 1): 1})
+    c, d = BiPoly.one(F3), BiPoly(F3, {(1, 1): 1})
+    m = sym_power_matrix(a, b, c, d, 3)
+    assert [[not x.is_zero for x in row] for row in m] == [
+        [True, True, True, True], [False, True, True, False],
+        [False, True, True, False], [True, True, True, True]]
+    calls = []
+    real = BiPoly.sum_of_products.__func__
+    monkeypatch.setattr(BiPoly, "sum_of_products",
+                        classmethod(lambda cls, field, pairs:
+                                    calls.append(1) or real(cls, field, pairs)))
+    assert matrix_det(m) == (a * d - b * c) ** 6
+    assert len(calls) == 6
 
 
 def test_sym_power_rejects_bad_l():
