@@ -22,8 +22,7 @@ from .fields import finite_field
 from .forms import FormCatalog
 from .identities import (check_lvals, goss_degenerate_check, lemma1_check,
                          lemma2_check, lemma3_trials, pellarin_partial)
-from .serialize import (bipoly_tsv_rows, canonical_json, lvalue_to_obj,
-                        useries_to_obj, useries_tsv_rows)
+from .serialize import canonical_json, write_lvalue, write_useries
 from .shadowed import check_d2_approx, partition_counts
 from .taurec import TauSequence, g_sequence, operator_l1, operator_l2, sym_det_trials
 
@@ -148,13 +147,37 @@ def _enforce_tcap(args, series_or_polys):
                 f"t-degree {deg} exceeds the configured cap {args.tcap}")
 
 
-def _emit(args, text):
-    data = text if isinstance(text, str) else canonical_json(text)
-    if args.out:
-        with open(args.out, "w") as fh:
-            fh.write(data)
+def _emit(args, *parts):
+    """Write the parts in order to --out or stdout.  A part is text, or a
+    function that writes through the `write` it is given.  The --out file
+    is created only here, after every check that can reject the input."""
+    fh = open(args.out, "w") if args.out else sys.stdout
+    try:
+        for part in parts:
+            if isinstance(part, str):
+                fh.write(part)
+            else:
+                part(fh.write)
+    except BrokenPipeError:
+        # the reader closed stdout early (`| head`), which is no failure of
+        # the command; stdout then points at the null device, so that the
+        # flush at exit does not fail again
+        import os
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+    finally:
+        if fh is not sys.stdout:
+            fh.close()
+
+
+def _emit_result(args, header, write_result, result):
+    """The header, then write_result(write, result, format) as the result:
+    the output of expand and lvalue, streamed one coefficient at a time."""
+    fmt = args.format
+    if fmt == "tsv":
+        head, tail = _tsv_document(header, []), ""
     else:
-        sys.stdout.write(data)
+        head, tail = '{"header":%s,"result":' % canonical_json(header)[:-1], "}\n"
+    _emit(args, head, lambda write: write_result(write, result, fmt), tail)
 
 
 def _tsv_document(header, rows):
@@ -193,11 +216,7 @@ def cmd_expand(args):
         series = getattr(catalog, FORMS[args.form])
         extra = {"form": args.form}
     _enforce_tcap(args, [series])
-    header = _header(args, field, extra)
-    if args.format == "tsv":
-        _emit(args, _tsv_document(header, useries_tsv_rows(series)))
-    else:
-        _emit(args, {"header": header, "result": useries_to_obj(series)})
+    _emit_result(args, _header(args, field, extra), write_useries, series)
     return 0
 
 
@@ -246,8 +265,11 @@ def _check_lemma3(args, field):
 
 def _check_lvals(args, field):
     n = _given(args.n, 3)
-    return [{"q": field.q, "l": l, "n": n, "pass": check_lvals(field, l, n)}
-            for l in _l_values(args, field.q)]
+    ls = _l_values(args, field.q)
+    # every l compares against the l = 1 sum: compute it once
+    p1 = pellarin_partial(field, 1, 1, n) if ls else None
+    return [{"q": field.q, "l": l, "n": n, "pass": check_lvals(field, l, n, p1)}
+            for l in ls]
 
 
 def _check_e_power(args, field):
@@ -347,7 +369,7 @@ def cmd_check(args):
     if args.format == "tsv":
         _emit(args, _tsv_document(header, _report_rows(reports, args.identity)))
     else:
-        _emit(args, {"header": header, "result": reports, "pass": all_pass})
+        _emit(args, canonical_json({"header": header, "result": reports, "pass": all_pass}))
     return 0 if all_pass else 1
 
 
@@ -387,7 +409,7 @@ def cmd_experiment(args):
     if args.format == "tsv":
         _emit(args, _tsv_document(header, _report_rows(reports, args.name)))
     else:
-        _emit(args, {"header": header, "result": reports})
+        _emit(args, canonical_json({"header": header, "result": reports}))
     return 0
 
 
@@ -400,12 +422,7 @@ def cmd_lvalue(args):
     _enforce_tcap(args, [value.num])
     header = _header(args, field, {"alpha": args.alpha, "beta": args.beta,
                                    "n": args.n})
-    if args.format == "tsv":
-        rows = bipoly_tsv_rows(value.num, "num") + bipoly_tsv_rows(
-            value.den.to_bipoly(), "den")
-        _emit(args, _tsv_document(header, rows))
-    else:
-        _emit(args, {"header": header, "result": lvalue_to_obj(value)})
+    _emit_result(args, header, write_lvalue, value)
     return 0
 
 
@@ -423,6 +440,9 @@ def main(argv=None):
         return HANDLERS[args.command](args)
     except (PrecisionError, ResourceLimitError) as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return RESOURCE_EXIT
+    except MemoryError:
+        print("error: out of memory", file=sys.stderr)
         return RESOURCE_EXIT
     except (ValueError, ZeroDivisionError) as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -238,20 +238,22 @@ def pellarin_partial(field, alpha, beta, n):
     return PartialLValue(field, alpha, beta, n, num, den)
 
 
-def check_lvals(field, l, n):
+def check_lvals(field, l, n, p1=None):
     """The l-th power relation between truncated L-values.
 
     Phrased over the primed sums S'_j = sum over nonzero a of degree < n
     of chi_t(a)**j / a**j, which equal minus the monic sums:
-    S'_l == (-1)**(l+1) (S'_1)**l.
+    S'_l == (-1)**(l+1) (S'_1)**l.  A caller checking several l passes
+    the shared l = 1 sum pellarin_partial(field, 1, 1, n) as p1.
     """
     q = field.q
     if not 1 <= l <= q:
         raise ValueError(f"l must satisfy 1 <= l <= q, got {l}")
     if n < 1:
         raise ValueError("n must be >= 1")
-    p1 = pellarin_partial(field, 1, 1, n)
-    pl = pellarin_partial(field, l, l, n)
+    if p1 is None:
+        p1 = pellarin_partial(field, 1, 1, n)
+    pl = p1 if l == 1 else pellarin_partial(field, l, l, n)
     lhs_num = -pl.num
     lhs_den = pl.den.to_bipoly()
     rhs_num = (-p1.num) ** l

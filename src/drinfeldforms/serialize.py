@@ -6,36 +6,86 @@ polynomial names the modulus of its field only when it is not the
 canonical one, and decoding builds the field from it.  All monomial
 lists are sorted lexicographically and JSON is emitted with sorted
 keys, which makes every output byte-stable across runs.
+
+The encoder writes text, never an object tree: `write_useries` and
+`write_lvalue` read each coefficient's monomials off its digit planes
+and hand its text to a `write` callable, one coefficient at a time.
+Their JSON is exactly what `canonical_json` makes of the objects that
+`useries_from_obj` and `bipoly_from_obj` read (without the final
+newline): a series is {"prec", "terms": [[n, polynomial], ...]} and a
+polynomial {"e", "modulus"?, "monomials": [[i, j, digits], ...], "p"}.
+Their TSV is one row per monomial: a label (n, or num/den), i, j, then
+the digits.  Reports of checks and experiments are small objects and go
+through `canonical_json`.
 """
 
 import json
-from functools import reduce
-from operator import or_
 
 from .fields import canonical_modulus, finite_field
 from .polynomials import BiPoly
 from .series import USeries
 
 
-def _monomials(poly):
-    """[i, j, base-p digits] for each nonzero term theta**i t**j, sorted,
-    read straight off the digit planes (slot i + j * stride, see BiPoly)."""
-    pk, stride, rows = poly.field.packing, poly._stride, poly._rows
-    planes = [pk.slot_values(x, rows * stride) for x in poly._planes]
-    # a slot is occupied when any plane has a nonzero digit there
-    occupied = pk.slot_values(reduce(or_, poly._planes), rows * stride)
-    slots = sorted((k for k, v in enumerate(occupied) if v),
-                   key=lambda k: k % stride * rows + k // stride)
-    digits = map(list, zip(*[[plane[k] for k in slots] for plane in planes]))
-    return [[k % stride, k // stride, ds] for k, ds in zip(slots, digits)]
+def _cells(poly, sep):
+    """(i, j, digits joined by sep) of each nonzero term theta**i t**j,
+    sorted by (i, j), read straight off the digit planes (slot
+    i + j * stride, see BiPoly)."""
+    pk, stride = poly.field.packing, poly._stride
+    slots = poly._rows * stride
+    planes = [pk.slot_values(x, slots) for x in poly._planes]
+    # the text of each slot's digits, "" where every plane is zero
+    if len(planes) == 1:
+        texts = [str(d) if d else "" for d in planes[0]]
+    else:
+        texts = [sep.join(map(str, ds)) if any(ds) else "" for ds in zip(*planes)]
+    if poly._rows < 2:
+        return [(i, 0, s) for i, s in enumerate(texts) if s]
+    return [(i, j, s) for i in range(stride) for j, s in enumerate(texts[i::stride]) if s]
 
 
-def bipoly_to_obj(poly):
-    field = poly.field
-    obj = {"p": field.p, "e": field.e, "monomials": _monomials(poly)}
+def _json_frame(field):
+    """The JSON text of a polynomial over field before and after its monomials."""
+    head = '{"e":%d,' % field.e
     if field.modulus != canonical_modulus(field.p, field.e):
-        obj["modulus"] = list(field.modulus)
-    return obj
+        head += '"modulus":[%s],' % ",".join(map(str, field.modulus))
+    return head + '"monomials":[', '],"p":%d}' % field.p
+
+
+def _poly_json(poly, frame):
+    head, tail = frame
+    return head + ",".join([f"[{i},{j},[{s}]]" for i, j, s in _cells(poly, ",")]) + tail
+
+
+def _poly_tsv(poly, label):
+    return "".join([f"{label}\t{i}\t{j}\t{s}\n" for i, j, s in _cells(poly, "\t")])
+
+
+def write_useries(write, series, fmt="json"):
+    """Write series through write, one coefficient at a time: its JSON
+    object, or its TSV rows n, i, j, digits in (n, i, j) order."""
+    coeffs = sorted(series.coeffs.items())
+    if fmt == "tsv":
+        for n, c in coeffs:
+            write(_poly_tsv(c, n))
+        return
+    frame = _json_frame(series.field)
+    write('{"prec":%d,"terms":[' % series.prec)
+    for k, (n, c) in enumerate(coeffs):
+        write(f'{"," if k else ""}[{n},{_poly_json(c, frame)}]')
+    write("]}")
+
+
+def write_lvalue(write, value, fmt="json"):
+    """Write a PartialLValue through write: its JSON object {"alpha", "beta",
+    "den", "n", "num"}, or the TSV rows of num, then of den."""
+    if fmt == "tsv":
+        write(_poly_tsv(value.num, "num"))
+        write(_poly_tsv(value.den, "den"))
+        return
+    frame = _json_frame(value.field)
+    write('{"alpha":%d,"beta":%d,"den":%s,"n":%d,"num":%s}' % (
+        value.alpha, value.beta, _poly_json(value.den, frame), value.n,
+        _poly_json(value.num, frame)))
 
 
 def bipoly_from_obj(obj, field=None):
@@ -47,13 +97,6 @@ def bipoly_from_obj(obj, field=None):
     return BiPoly(field, terms)
 
 
-def useries_to_obj(series):
-    return {
-        "prec": series.prec,
-        "terms": [[n, bipoly_to_obj(c)] for n, c in sorted(series.coeffs.items())],
-    }
-
-
 def useries_from_obj(obj, field=None):
     terms = obj["terms"]
     if field is None:
@@ -63,27 +106,6 @@ def useries_from_obj(obj, field=None):
         field = finite_field(head["p"], head["e"], head.get("modulus"))
     coeffs = {n: bipoly_from_obj(c, field) for n, c in terms}
     return USeries(field, obj["prec"], coeffs)
-
-
-def useries_tsv_rows(series):
-    """One row per stored monomial: n, i, j, then the base-p digits."""
-    return ["\t".join(map(str, [n, i, j, *digits]))
-            for n, c in sorted(series.coeffs.items()) for i, j, digits in _monomials(c)]
-
-
-def bipoly_tsv_rows(poly, label=None):
-    head = [] if label is None else [label]
-    return ["\t".join(map(str, head + [i, j, *digits])) for i, j, digits in _monomials(poly)]
-
-
-def lvalue_to_obj(value):
-    return {
-        "alpha": value.alpha,
-        "beta": value.beta,
-        "n": value.n,
-        "num": bipoly_to_obj(value.num),
-        "den": bipoly_to_obj(value.den),
-    }
 
 
 def canonical_json(obj):

@@ -29,8 +29,9 @@ nothing reaches costs no coefficient product.
 
 from functools import lru_cache
 
+from . import polynomials
 from .errors import PrecisionError
-from .polynomials import BiPoly, UniPoly, _product_sum, _same_field
+from .polynomials import BiPoly, UniPoly, _same_field
 
 
 class USeries:
@@ -154,7 +155,7 @@ class USeries:
                     pairs.setdefault(n, []).append((c1, c2))
         coeffs = {}
         for n, ps in pairs.items():
-            c = _product_sum(f, ps)
+            c = polynomials._product_sum(f, ps)
             if not c.is_zero:
                 coeffs[n] = c
         return USeries._raw(f, prec, coeffs)

@@ -9,7 +9,10 @@ measured when it was set; lower it when a change does less work.
 import contextlib
 import io
 
-from drinfeldforms import cli, polynomials, series
+from drinfeldforms import cli, polynomials
+from drinfeldforms.fields import finite_field
+from drinfeldforms.polynomials import BiPoly
+from drinfeldforms.series import USeries
 
 
 def count_operations(monkeypatch, argv):
@@ -25,7 +28,6 @@ def count_operations(monkeypatch, argv):
         return restride(*args)
 
     monkeypatch.setattr(polynomials, "_product_sum", counted_kernel)
-    monkeypatch.setattr(series, "_product_sum", counted_kernel)
     monkeypatch.setattr(polynomials, "_restride", counted_restride)
     with contextlib.redirect_stdout(io.StringIO()):
         code = cli.main(argv.split())
@@ -39,3 +41,21 @@ def test_sym_det_stays_within_its_count_budget(monkeypatch):
     assert code == 0
     assert counts["kernel_calls"] <= 22000, counts
     assert counts["restrides"] <= 23472, counts
+
+
+def test_series_products_reach_the_patched_kernel(monkeypatch):
+    # USeries.__mul__ calls the kernel through its module, so patching the
+    # one name polynomials._product_sum counts series products too
+    field = finite_field(3)
+    x = USeries(field, 4, {0: BiPoly.one(field), 1: BiPoly(field, {(1, 1): 2})})
+    calls = []
+    kernel = polynomials._product_sum
+
+    def counted_kernel(*args):
+        calls.append(args)
+        return kernel(*args)
+
+    monkeypatch.setattr(polynomials, "_product_sum", counted_kernel)
+    assert x * x == USeries(field, 4, {0: BiPoly.one(field), 1: BiPoly(field, {(1, 1): 1}),
+                                       2: BiPoly(field, {(2, 2): 1})})
+    assert len(calls) == 3

@@ -1,9 +1,14 @@
 import argparse
 import json
+import os
+import pathlib
+import subprocess
+import sys
 
 import pytest
 
-from drinfeldforms.cli import CHECKS, EXPERIMENTS, FORMS, build_parser, main
+from drinfeldforms import cli, identities
+from drinfeldforms.cli import CHECKS, EXPERIMENTS, FORMS, HANDLERS, build_parser, main
 
 
 def run_cli(capsys, *argv):
@@ -101,6 +106,50 @@ def test_expand_writes_output_file(tmp_path, capsys):
     assert obj["header"]["form"] == "g"
 
 
+@pytest.mark.parametrize("fmt", ["json", "tsv"])
+def test_rejected_expand_writes_nothing(tmp_path, capsys, fmt):
+    # --tcap is checked after the computation but before any output is written
+    target = tmp_path / "EE.out"
+    argv = ["expand", "--form", "EE", "--p", "2", "--uprec", "16", "--tcap", "0",
+            "--format", fmt]
+    code, out = run_cli(capsys, *argv)
+    assert code == 3 and out == ""
+    code, out = run_cli(capsys, *argv, "--out", str(target))
+    assert code == 3 and out == ""
+    assert not target.exists()
+
+
+def test_reader_closing_stdout_early_is_no_failure():
+    # `expand ... | head`: the output is written a coefficient at a time, and
+    # the writes after the reader has gone must not end in a traceback
+    src = pathlib.Path(cli.__file__).resolve().parents[1]
+    env = dict(os.environ, PYTHONPATH=str(src))
+    proc = subprocess.Popen([sys.executable, "-m", "drinfeldforms", "expand", "--form", "EE",
+                             "--p", "2", "--uprec", "128", "--format", "tsv"],
+                            stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env)
+    assert proc.stdout.read(16) == b"# command=expand"
+    proc.stdout.close()
+    err = proc.stderr.read()
+    proc.stderr.close()
+    assert proc.wait(timeout=120) == 0
+    assert err == b""
+
+
+@pytest.mark.parametrize("command", sorted(HANDLERS))
+def test_memory_error_exits_3(capsys, monkeypatch, command):
+    def out_of_memory(args):
+        raise MemoryError
+
+    monkeypatch.setitem(HANDLERS, command, out_of_memory)
+    argv = {"expand": ["--form", "g"], "check": ["--identity", "lemma1"],
+            "experiment": ["--name", "conjecture-fs"], "lvalue": []}[command]
+    code = main([command, *argv])
+    captured = capsys.readouterr()
+    assert code == 3
+    assert captured.out == ""
+    assert captured.err.startswith("error: ")
+
+
 # -- check ------------------------------------------------------------------------------
 
 
@@ -116,6 +165,23 @@ def test_check_lvals(capsys):
                          "--n", "3", "--p", "3")
     assert code == 0
     assert obj["result"][0]["pass"] is True
+
+
+@pytest.mark.parametrize("argv,calls", [("--n 5 --p 3", 3), ("--n 6 --p 2", 2)])
+def test_check_lvals_computes_each_partial_sum_once(capsys, monkeypatch, argv, calls):
+    # one sum per l, the l = 1 sum shared by every l (the benchmark's lvals commands)
+    made = []
+    partial = identities.pellarin_partial
+
+    def counted(field, alpha, beta, n):
+        made.append((alpha, beta))
+        return partial(field, alpha, beta, n)
+
+    monkeypatch.setattr(identities, "pellarin_partial", counted)
+    monkeypatch.setattr(cli, "pellarin_partial", counted)
+    code, obj = run_json(capsys, "check", "--identity", "lvals", *argv.split())
+    assert code == 0 and obj["pass"] is True
+    assert len(made) == calls and len(set(made)) == calls
 
 
 def test_check_lemma3_deterministic_bytes(capsys):
