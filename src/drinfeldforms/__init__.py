@@ -15,7 +15,7 @@ from .identities import (BruteForceInstance, PartialLValue, check_lvals,
                          goss_degenerate_check, lemma1_check, lemma2_check,
                          lemma3_bruteforce, pellarin_partial)
 from .polynomials import BiPoly, UniPoly, enumerate_monic, monic_below
-from .series import CarlitzOperator, USeries, carlitz_phi, u_c_expansion
+from .series import USeries, carlitz_phi, u_c_expansion
 from .shadowed import (check_d2_approx, enumerate_shadowed, g1k_shadowed,
                        is_shadowed_partition)
 from .taurec import (TauOperator, TauSequence, g_sequence, matrix_det,
@@ -24,9 +24,9 @@ from .taurec import (TauOperator, TauSequence, g_sequence, matrix_det,
 __version__ = "0.1.0"
 
 __all__ = [
-    "BiPoly", "BruteForceInstance", "CarlitzOperator", "FiniteField", "FormCatalog",
-    "PartialLValue", "PrecisionError", "ResourceLimitError", "TauOperator",
-    "TauSequence", "UniPoly", "USeries", "bracket_twisted", "canonical_modulus",
+    "BiPoly", "BruteForceInstance", "FiniteField", "FormCatalog", "PartialLValue",
+    "PrecisionError", "ResourceLimitError", "TauOperator", "TauSequence", "UniPoly",
+    "USeries", "bracket_twisted", "canonical_modulus",
     "carlitz_phi", "check_d2_approx", "check_lvals", "enumerate_monic",
     "enumerate_shadowed", "extension_field", "finite_field", "g1k_shadowed",
     "g_sequence", "goss_degenerate_check", "is_shadowed_partition", "lemma1_check",

@@ -14,6 +14,7 @@ error, 3 precision/resource limit.
 """
 
 import argparse
+import os
 import random
 import sys
 
@@ -151,7 +152,10 @@ def _emit(args, *parts):
     """Write the parts in order to --out or stdout.  A part is text, or a
     function that writes through the `write` it is given.  The --out file
     is created only here, after every check that can reject the input."""
-    fh = open(args.out, "w") if args.out else sys.stdout
+    try:
+        fh = open(args.out, "w") if args.out else sys.stdout
+    except OSError as exc:
+        raise ValueError(f"cannot write --out: {exc}") from exc
     try:
         for part in parts:
             if isinstance(part, str):
@@ -162,7 +166,6 @@ def _emit(args, *parts):
         # the reader closed stdout early (`| head`), which is no failure of
         # the command; stdout then points at the null device, so that the
         # flush at exit does not fail again
-        import os
         os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
     finally:
         if fh is not sys.stdout:
@@ -436,6 +439,12 @@ def main(argv=None):
         args = parser.parse_args(argv)
     except SystemExit as exc:
         return exc.code if exc.code is not None else 0
+    if args.out and (os.path.isdir(args.out)
+                     or not os.path.isdir(os.path.dirname(args.out) or ".")):
+        # rejected before anything is computed
+        print(f"error: cannot write --out {args.out}: it is a directory or "
+              "its directory does not exist", file=sys.stderr)
+        return USAGE_EXIT
     try:
         return HANDLERS[args.command](args)
     except (PrecisionError, ResourceLimitError) as exc:

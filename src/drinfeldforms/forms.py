@@ -5,9 +5,11 @@ FormCatalog fixes a field F_q and a working precision and caches:
   g       weight q-1 form,  1 - (theta**q - theta) * sum u_c**(q-1)
   h       weight q+1 form,  sum c**q u_c = u + ...
   delta   discriminant,     -h**(q-1)
+  delta_t delta (t - theta**q), the tau**2 coefficient of the recurrence
+          below (and of the operators L1 and L2 in taurec)
   e       false Eisenstein, sum c u_c
   d2      the unit-root deformation: the unique series with constant
-          term 1 solving X = g X^(1) + delta (t - theta**q) X^(2),
+          term 1 solving X = g X^(1) + delta_t X^(2),
           relaxed: only reachable exponents are solved
   ee      deformation of e with expansion sum chi_t(c) u_c
 
@@ -161,11 +163,8 @@ class FormCatalog:
     @property
     def g(self):
         def build():
-            q = self.field.q
-            s = self.linear_a_expansion(q - 1)
-            thq_minus_th = BiPoly.from_pairs(
-                self.field, [((q, 0), 1), ((1, 0), self.field.neg(1))])
-            return USeries.one(self.field, self.prec) - s.scale(thq_minus_th)
+            s = self.linear_a_expansion(self.field.q - 1)
+            return USeries.one(self.field, self.prec) - s.scale(bracket_twisted(self.field, 1))
         return self._cached("g", build)
 
     @property
@@ -178,6 +177,12 @@ class FormCatalog:
         q = self.field.q
         return self._cached(
             "delta", lambda: (-(self.h ** (q - 1))).truncate(self.prec))
+
+    @property
+    def delta_t(self):
+        """delta (t - theta**q)."""
+        return self._cached(
+            "delta_t", lambda: self.delta.scale(t_minus_theta_pow(self.field, self.field.q)))
 
     @property
     def e(self):
@@ -194,7 +199,7 @@ class FormCatalog:
         return self._cached("d2", self._d2_recurrence)
 
     def _d2_recurrence(self):
-        """Solve X = g X^(1) + D X^(2), D = delta (t - theta**q), from x_0 = 1.
+        """Solve X = g X^(1) + D X^(2), D = delta_t, from x_0 = 1.
 
         Comparing coefficients of u**n gives
             x_n = sum_k g_(n - kq) tau(x_k) + sum_k D_(n - kq**2) tau**2(x_k),
@@ -203,9 +208,8 @@ class FormCatalog:
         once and pushed to the exponents kq + m and kq**2 + m it reaches.
         """
         field, prec, q = self.field, self.prec, self.field.q
-        scaled_delta = self.delta.scale(t_minus_theta_pow(field, q))
         rules = [(q, sorted(self.g.coeffs.items()), lambda x: x.tau_twist(1)),
-                 (q * q, sorted(scaled_delta.coeffs.items()), lambda x: x.tau_twist(2))]
+                 (q * q, sorted(self.delta_t.coeffs.items()), lambda x: x.tau_twist(2))]
         return USeries._raw(field, prec, _relaxed_solve(
             field, prec, {0: BiPoly.one(field)}, rules))
 

@@ -190,8 +190,9 @@ class BiPoly:
     built on each access.
 
     An object is never changed once made.  The one datum it caches is
-    `_pop`, the popcount of its planes (the kernel's no-carry bound), set
-    by the first product that reads it; a restride does not change it.
+    `_pop`, the popcount of its planes (the kernel's no-carry bound, and
+    part of the hash), set by the first product or hash that reads it; a
+    restride does not change it.
     No other layout of the planes is kept.
     """
 
@@ -251,19 +252,6 @@ class BiPoly:
 
     # -- layout ---------------------------------------------------------------
 
-    def _theta_length(self):
-        """Exact theta-degree + 1 (0 for the zero polynomial)."""
-        if self._rows < 2:
-            return self._width
-        pk = self.field.packing
-        ob = self._stride * pk.nbytes
-        used = 0
-        for x in self._planes:
-            buf = x.to_bytes(self._rows * ob, "little")
-            for k in range(0, len(buf), ob):
-                used = max(used, int.from_bytes(buf[k:k + ob], "little").bit_length())
-        return -(-used // pk.bits)
-
     def _aligned(self, other):
         """(planes of self, planes of other, stride) at one common stride."""
         _same_field(self, other)
@@ -301,7 +289,11 @@ class BiPoly:
         return xs == ys
 
     def __hash__(self):
-        return hash((self.field, self._planes_at(self._theta_length())))
+        # the rows and the popcount do not change under a restride, so
+        # equal polynomials hash equal whatever their strides
+        if self._pop is None:
+            self._pop = sum(map(int.bit_count, self._planes))
+        return hash((self.field, self._rows, self._pop))
 
     def _add_multiple(self, other, c):
         """self + c * other for an integer 1 <= c < p."""
@@ -388,7 +380,7 @@ class BiPoly:
                                  (((i + j, 0), v) for (i, j), v in self.terms.items()))
 
     def theta_degree(self):
-        return self._theta_length() - 1 if self._rows else None
+        return max((i for i, _ in self.terms), default=None)
 
     def t_degree(self):
         return self._rows - 1 if self._rows else None

@@ -14,10 +14,12 @@ what the inputs justify, so recomputing at higher precision and
 truncating always reproduces lower-precision results bit for bit.
 
 The module also provides the twisted-polynomial coefficients of the rank
-one module phi with phi(theta) = theta + tau, the exact expansions of
-u_c = 1 / phi_c(1/u) for monic c and of its powers u_c**l, 1 <= l <= q,
-and coset_sum, the sum of w(c) u_c over all monic c of one degree for an
-F_q-linear weight w, in closed form.
+one module phi with phi(theta) = theta + tau, as tuples of UniPoly (the
+phi_{theta**k} come from one cached chain per field, by the recurrence
+phi_{theta**k} = (theta + tau) phi_{theta**(k-1)}), the exact expansions
+of u_c = 1 / phi_c(1/u) for monic c and of its powers u_c**l,
+1 <= l <= q, and coset_sum, the sum of w(c) u_c over all monic c of one
+degree for an F_q-linear weight w, in closed form.
 
 Every triangular solve (the division by P_c behind u_c, the one division
 of each coset_sum, USeries.inv and the d2 recurrence in forms) is one
@@ -66,15 +68,6 @@ class USeries:
     def one(cls, field, prec):
         return cls._raw(field, prec, {0: BiPoly.one(field)})
 
-    @classmethod
-    def from_terms(cls, field, prec, terms):
-        coeffs = {}
-        for n, c in terms.items():
-            if isinstance(c, int):
-                c = BiPoly.scalar(field, c)
-            coeffs[n] = c
-        return cls(field, prec, coeffs)
-
     # -- inspection -----------------------------------------------------------
 
     def val(self):
@@ -111,9 +104,6 @@ class USeries:
             if self.coeffs.get(n) != other.coeffs.get(n):
                 return n
         return None
-
-    def agrees_with(self, other):
-        return self.first_difference(other) is None
 
     # -- ring operations -------------------------------------------------------
 
@@ -228,14 +218,10 @@ class USeries:
         return USeries._raw(self.field, self.prec * s,
                             {n * s: c.frobenius(k) for n, c in self.coeffs.items()})
 
-    def map_coefficients(self, fn):
-        """Apply fn to every coefficient, dropping the ones that vanish."""
-        return USeries(self.field, self.prec,
-                       {n: fn(c) for n, c in self.coeffs.items()})
-
     def subs_t_theta(self):
-        """Specialise t -> theta in every coefficient."""
-        return self.map_coefficients(lambda c: c.subs_t_theta())
+        """Specialise t -> theta in every coefficient, dropping the ones that vanish."""
+        return USeries(self.field, self.prec,
+                       {n: c.subs_t_theta() for n, c in self.coeffs.items()})
 
     # -- reshaping ----------------------------------------------------------------
 
@@ -265,61 +251,26 @@ class USeries:
         return f"USeries(prec={self.prec}, {{{terms}}})"
 
 
-class CarlitzOperator:
-    """Twisted polynomial sum([a, i] * tau**i): the image of a in F_q[theta]{tau}
-    under the rank-one module determined by theta -> theta + tau."""
-
-    __slots__ = ("field", "coeffs")
-
-    def __init__(self, field, coeffs):
-        coeffs = list(coeffs)
-        while coeffs and coeffs[-1].is_zero:
-            coeffs.pop()
-        if not coeffs:
-            raise ValueError("zero twisted polynomial")
-        self.field = field
-        self.coeffs = tuple(coeffs)
-
-    @property
-    def tau_degree(self):
-        return len(self.coeffs) - 1
-
-    def __eq__(self, other):
-        return (isinstance(other, CarlitzOperator) and self.field == other.field
-                and self.coeffs == other.coeffs)
-
-    def __hash__(self):
-        return hash((self.field, self.coeffs))
-
-    def compose(self, other):
-        """Twisted product: tau * c = c**q * tau."""
-        f = self.field
-        out = [UniPoly.zero(f) for _ in range(self.tau_degree + other.tau_degree + 1)]
-        for i, a in enumerate(self.coeffs):
-            if a.is_zero:
-                continue
-            for j, b in enumerate(other.coeffs):
-                if b.is_zero:
-                    continue
-                out[i + j] = out[i + j] + a * b.tau_twist(i)
-        return CarlitzOperator(f, out)
-
-    def __repr__(self):
-        return f"CarlitzOperator({[p for p in self.coeffs]!r})"
-
-
 @lru_cache(maxsize=None)
 def _phi_theta_power(field, k):
-    """phi_{theta**k}, composed once per field and k (fields are interned,
-    operators are immutable), so every carlitz_phi call shares the chain."""
+    """[theta**k, 0], ..., [theta**k, k], the coefficients of phi_{theta**k},
+    built once per field and k (fields are interned, polynomials are
+    immutable), so every carlitz_phi call shares the chain.  From
+    phi_{theta**k} = (theta + tau) phi_{theta**(k-1)}:
+
+        [theta**k, i] = theta [theta**(k-1), i] + tau([theta**(k-1), i-1]).
+    """
     if k == 0:
-        return CarlitzOperator(field, [UniPoly.one(field)])
-    phi_theta = CarlitzOperator(field, [UniPoly.gen(field), UniPoly.one(field)])
-    return phi_theta.compose(_phi_theta_power(field, k - 1))
+        return (UniPoly.one(field),)
+    prev = _phi_theta_power(field, k - 1)
+    theta = UniPoly.gen(field)
+    return (theta * prev[0],
+            *[theta * prev[i] + prev[i - 1].tau_twist(1) for i in range(1, k)],
+            UniPoly.one(field))
 
 
 def carlitz_phi(a):
-    """Twisted-polynomial coefficients [a, 0], ..., [a, deg a] of phi_a:
+    """The twisted-polynomial coefficients ([a, 0], ..., [a, deg a]) of phi_a:
     the F_q-linear combination of the phi_{theta**k} by the coefficients of a."""
     if a.is_zero:
         raise ValueError("phi is only defined for nonzero ring elements")
@@ -327,9 +278,9 @@ def carlitz_phi(a):
     coeffs = a.coeffs
     rows = [_phi_theta_power(f, k) for k in range(len(coeffs))]
     scalars = [(k, UniPoly.scalar(f, ck)) for k, ck in enumerate(coeffs) if ck]
-    return CarlitzOperator(f, [
-        UniPoly.sum_of_products(f, [(rows[k].coeffs[i], c) for k, c in scalars if k >= i])
-        for i in range(len(coeffs))])
+    return tuple(
+        UniPoly.sum_of_products(f, [(rows[k][i], c) for k, c in scalars if k >= i])
+        for i in range(len(coeffs)))
 
 
 def _reversed_phi(c):
@@ -343,9 +294,9 @@ def _reversed_phi(c):
     if not c.is_monic:
         raise ValueError("u_c requires a monic polynomial")
     q, d = c.field.q, c.degree
-    op = carlitz_phi(c)
-    return q ** d, [(q ** d - q ** i, op.coeffs[i].to_bipoly())
-                    for i in range(d) if not op.coeffs[i].is_zero]
+    phi = carlitz_phi(c)
+    return q ** d, [(q ** d - q ** i, phi[i].to_bipoly())
+                    for i in range(d) if not phi[i].is_zero]
 
 
 def _relaxed_solve(field, prec, seed, rules):
@@ -443,7 +394,7 @@ def coset_sum(field, d, prec, weights):
     # coefficients of the c_k not summed out yet, by increasing k
     den = []
     for k in (d, *range(d)):
-        row = _phi_theta_power(field, k).coeffs
+        row = _phi_theta_power(field, k)
         den.append(USeries(field, work, {qd - q ** i: row[i].to_bipoly()
                                           for i in range(k + 1)}))
     num = [USeries(field, work, {0: weights[k]}) for k in (d, *range(d))]

@@ -95,12 +95,7 @@ class TauOperator:
 
 def operator_l1(catalog):
     """tau**0 - g tau**1 - delta (t - theta**q) tau**2."""
-    field, prec, q = catalog.field, catalog.prec, catalog.field.q
-    return TauOperator([
-        USeries.one(field, prec),
-        -catalog.g,
-        -catalog.delta.scale(t_minus_theta_pow(field, q)),
-    ])
+    return TauOperator([USeries.one(catalog.field, catalog.prec), -catalog.g, -catalog.delta_t])
 
 
 def operator_l2(catalog):
@@ -112,13 +107,12 @@ def operator_l2(catalog):
     where g**(1-q) = g * inv(g**q) (g has unit constant term).
     """
     field, prec, q = catalog.field, catalog.prec, catalog.field.q
-    g, d = catalog.g, catalog.delta
-    tq = t_minus_theta_pow(field, q)
+    g, d, d_t = catalog.g, catalog.delta, catalog.delta_t
     tq2 = t_minus_theta_pow(field, q * q)
     g_one_minus_q = (g * (g ** q).truncate(prec).inv()).truncate(prec)
-    b = ((g ** (1 + q)).truncate(prec) + d.scale(tq)).truncate(prec)
+    b = ((g ** (1 + q)).truncate(prec) + d_t).truncate(prec)
     a3 = (g_one_minus_q * (d ** (1 + 2 * q)).truncate(prec)).truncate(prec)
-    a3 = a3.scale(tq).scale(tq2 * tq2)
+    a3 = a3.scale(t_minus_theta_pow(field, q)).scale(tq2 * tq2)
     if a3.is_zero:
         # the tau**3 coefficient has valuation (1 + 2q)(q - 1)
         raise PrecisionError(
@@ -126,7 +120,7 @@ def operator_l2(catalog):
     return TauOperator([
         USeries.one(field, prec),
         -(g_one_minus_q * b).truncate(prec),
-        -(d.scale(tq) * b).truncate(prec),
+        -(d_t * b).truncate(prec),
         a3,
     ])
 

@@ -9,13 +9,18 @@ measured when it was set; lower it when a change does less work.
 import contextlib
 import io
 
-from drinfeldforms import cli, polynomials
+import pytest
+
+from drinfeldforms import cli, polynomials, series
 from drinfeldforms.fields import finite_field
 from drinfeldforms.polynomials import BiPoly
 from drinfeldforms.series import USeries
 
 
 def count_operations(monkeypatch, argv):
+    # the phi_{theta**k} chain is cached per process: build it afresh, so
+    # that the counts do not depend on which tests ran before
+    series._phi_theta_power.cache_clear()
     counts = {"kernel_calls": 0, "restrides": 0}
     kernel, restride = polynomials._product_sum, polynomials._restride
 
@@ -41,6 +46,18 @@ def test_sym_det_stays_within_its_count_budget(monkeypatch):
     assert code == 0
     assert counts["kernel_calls"] <= 22000, counts
     assert counts["restrides"] <= 23472, counts
+
+
+@pytest.mark.parametrize("argv, kernel_calls, restrides", [
+    ("expand --form EE --p 3 --uprec 243", 458, 1096),
+    ("check --identity recurrence-l1 --p 2 --uprec 32", 1607, 3084),
+])
+def test_series_command_stays_within_its_count_budget(monkeypatch, argv, kernel_calls,
+                                                      restrides):
+    code, counts = count_operations(monkeypatch, argv)
+    assert code == 0
+    assert counts["kernel_calls"] <= kernel_calls, counts
+    assert counts["restrides"] <= restrides, counts
 
 
 def test_series_products_reach_the_patched_kernel(monkeypatch):

@@ -14,7 +14,7 @@ import pathlib
 
 import pytest
 
-from drinfeldforms.cli import main
+from drinfeldforms.cli import CHECKS, EXPERIMENTS, main
 
 PIN_DIR = pathlib.Path(__file__).parent / "golden" / "cli"
 
@@ -31,6 +31,8 @@ CASES = {
     "check-recl2-q3-u27": "check --identity recurrence-l2 --p 3 --uprec 27 --k 4",
     "check-symdet-q3": "check --identity sym-det --p 3 --trials 4 --seed 3",
     "check-partitions-n8": "check --identity partitions --n 8",
+    "check-cosetsum-q2-u16-tsv": "check --identity coset-sum --p 2 --uprec 16 --format tsv",
+    "check-eehtaud2-q3-u27": "check --identity ee-h-tau-d2 --p 3 --uprec 27",
     "check-epower-q2-u16-tsv": "check --identity e-power --p 2 --uprec 16 --format tsv",
     "check-symdet-q4-tsv": "check --identity sym-det --p 2 --e 2 --l 1..3 --trials 3 "
                            "--seed 5 --format tsv",
@@ -58,6 +60,18 @@ def run(argv):
 
 def test_index_lists_every_case():
     assert set(json.loads((PIN_DIR / "index.json").read_text())) == set(CASES)
+
+
+def test_every_check_and_experiment_is_pinned():
+    # a check or experiment without a pin could change its bytes unnoticed
+    option = {"check": "--identity", "experiment": "--name"}
+    pinned = set()
+    for argv in CASES.values():
+        words = argv.split()
+        if words[0] in option:
+            pinned.add((words[0], words[words.index(option[words[0]]) + 1]))
+    assert pinned >= {("check", name) for name in CHECKS}
+    assert pinned >= {("experiment", name) for name in EXPERIMENTS}
 
 
 @pytest.mark.parametrize("case", sorted(CASES))

@@ -108,7 +108,7 @@ def test_coset_sum_check_names_form_degree_and_exponent(monkeypatch, capsys):
         # g's unweighted sum has weights [0, 1] at degree 1; every weighted
         # form here has w(1) = 1
         if d == 1 and not weights[0].is_zero:
-            out = out + USeries.from_terms(field, prec, {prec - 1: 1})
+            out = out + USeries(field, prec, {prec - 1: BiPoly.one(field)})
         return out
 
     monkeypatch.setattr(forms, "coset_sum", broken)

@@ -199,7 +199,7 @@ def test_check_ee_power_beyond_range_reports_difference(field):
 
 def test_f_1_0_is_false_eisenstein():
     cat = catalog(F3, 30)
-    assert cat.f_l_nu(1, 0).agrees_with(cat.e)
+    assert cat.f_l_nu(1, 0).first_difference(cat.e) is None
 
 
 @pytest.mark.parametrize("field", [F2, F3])
@@ -207,8 +207,8 @@ def test_f_closed_forms(field):
     q = field.q
     cat = catalog(field, 30)
     for l in range(1, q + 1):
-        assert cat.f_l_nu(l, 1).agrees_with(cat.h ** l)
-        assert cat.f_l_nu(l, 2).agrees_with((cat.h ** l) * (cat.g ** (l * q)))
+        assert cat.f_l_nu(l, 1).first_difference(cat.h ** l) is None
+        assert cat.f_l_nu(l, 2).first_difference((cat.h ** l) * (cat.g ** (l * q))) is None
 
 
 @pytest.mark.parametrize("field", [F2, F3])
@@ -245,7 +245,7 @@ def test_f_s_basics():
     deg = fs.t_degree()
     assert deg is None or deg == 0
     # s = 1 degenerates to h: exponent 1 + (q-1) = q
-    assert fs.agrees_with(cat.h)
+    assert fs.first_difference(cat.h) is None
     with pytest.raises(ValueError):
         cat.f_s(0)
 
@@ -261,7 +261,7 @@ def test_resolve_recursive_nu2_reproduces_closed_form():
     for twist in (0, 1, 2):
         assert by_key[(1, twist)]["equal"]
         assert not by_key[(2, twist)]["equal"]
-    assert cat.f_l_nu(1, 2).agrees_with(cat.h * (cat.g ** cat.field.q))
+    assert cat.f_l_nu(1, 2).first_difference(cat.h * (cat.g ** cat.field.q)) is None
 
 
 def test_resolve_recursive_nu3_unique_winner():
@@ -273,6 +273,14 @@ def test_resolve_recursive_nu3_unique_winner():
         if i not in report["matching"]:
             assert cand["first_difference"] is not None
             assert cand["first_difference"] < 128
+
+
+@pytest.mark.parametrize("field", [F2, F3, F4])
+def test_delta_t_is_built_once(field):
+    cat = FormCatalog(field, 20)
+    first = cat.delta_t
+    assert first == cat.delta.scale(t_minus_theta_pow(field, field.q))
+    assert cat.delta_t is first
 
 
 def test_bracket_twisted_vanishes_at_zero():
@@ -297,7 +305,7 @@ def test_conjecture_fs_small_range():
     lhs = (cat.f_s(s) * cat.d2).subs_t_theta()
     exp = s * (cat.field.q - 1)
     rhs = cat.a_expansion(1, lambda c: (c ** (1 + exp)).to_bipoly())
-    assert lhs.agrees_with(rhs)
+    assert lhs.first_difference(rhs) is None
 
 
 # -- catalog plumbing ----------------------------------------------------------------------------

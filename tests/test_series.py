@@ -8,12 +8,28 @@ from drinfeldforms import series
 from drinfeldforms.errors import PrecisionError
 from drinfeldforms.fields import finite_field
 from drinfeldforms.polynomials import BiPoly, UniPoly, enumerate_monic
-from drinfeldforms.series import (CarlitzOperator, USeries, carlitz_phi, u_c_expansion,
-                                  u_c_power)
+from drinfeldforms.series import USeries, carlitz_phi, u_c_expansion, u_c_power
 
 F2 = finite_field(2)
 F3 = finite_field(3)
+F4 = finite_field(2, 2)
 F5 = finite_field(5)
+
+
+def scalar_series(field, prec, terms):
+    """The series with the F_q-scalar coefficients {n: c}."""
+    return USeries(field, prec, {n: BiPoly.scalar(field, c) for n, c in terms.items()})
+
+
+def compose(f, g):
+    """Twisted product of two coefficient tuples, tau * c = c**q * tau:
+    the oracle for phi_(ab) = phi_a phi_b."""
+    field = f[0].field
+    out = [UniPoly.zero(field)] * (len(f) + len(g) - 1)
+    for i, a in enumerate(f):
+        for j, b in enumerate(g):
+            out[i + j] = out[i + j] + a * b.tau_twist(i)
+    return tuple(out)
 
 
 def rand_series(field, rng, prec, max_coeff_deg=2, unit=False):
@@ -32,9 +48,9 @@ def rand_series(field, rng, prec, max_coeff_deg=2, unit=False):
 
 
 def test_mul_one_minus_u_squared():
-    one_plus = USeries.from_terms(F3, 10, {0: 1, 1: 1})
-    one_minus = USeries.from_terms(F3, 10, {0: 1, 1: F3.neg(1)})
-    assert one_plus * one_minus == USeries.from_terms(F3, 10, {0: 1, 2: F3.neg(1)})
+    one_plus = scalar_series(F3, 10, {0: 1, 1: 1})
+    one_minus = scalar_series(F3, 10, {0: 1, 1: F3.neg(1)})
+    assert one_plus * one_minus == scalar_series(F3, 10, {0: 1, 2: F3.neg(1)})
 
 
 def test_mul_by_zero():
@@ -50,25 +66,25 @@ def test_mul_by_zero():
 @pytest.mark.parametrize("field", [F2, F3, F5])
 def test_cube_of_u_plus_u_squared(field):
     # (u + u^2)^3 = u^3 + 3u^4 + 3u^5 + u^6, truncated below u^6
-    f = USeries.from_terms(field, 6, {1: 1, 2: 1})
+    f = scalar_series(field, 6, {1: 1, 2: 1})
     three = field.scalar(3)
-    expected = USeries.from_terms(field, 8, {3: 1, 4: three, 5: three})
+    expected = scalar_series(field, 8, {3: 1, 4: three, 5: three})
     cube = f ** 3
     assert cube.truncate(6) == expected.truncate(6)
 
 
 def test_add_and_mul_precision_rules():
-    f = USeries.from_terms(F3, 10, {0: 1, 1: 2})
-    g = USeries.from_terms(F3, 7, {0: 1})
+    f = scalar_series(F3, 10, {0: 1, 1: 2})
+    g = scalar_series(F3, 7, {0: 1})
     assert (f + g).prec == 7
     assert (f * g).prec == 7
-    shifted = USeries.from_terms(F3, 10, {3: 1})   # valuation 3
+    shifted = scalar_series(F3, 10, {3: 1})   # valuation 3
     assert (f * shifted).prec == min(10 + 3, 10 + 0)
     assert (shifted * shifted).prec == 13
 
 
 def test_pow_zero_and_negative():
-    f = USeries.from_terms(F3, 5, {0: 1, 1: 1})
+    f = scalar_series(F3, 5, {0: 1, 1: 1})
     assert f ** 0 == USeries.one(F3, 5)
     with pytest.raises(ValueError):
         f ** -1
@@ -100,7 +116,7 @@ def test_inv_round_trip_random():
 
 def test_inv_requires_unit_scalar_constant():
     with pytest.raises(ValueError):
-        USeries.from_terms(F3, 5, {1: 1}).inv()
+        scalar_series(F3, 5, {1: 1}).inv()
     with pytest.raises(ValueError):
         USeries(F3, 5, {0: BiPoly(F3, {(1, 0): 1})}).inv()
 
@@ -109,8 +125,8 @@ def test_inv_requires_unit_scalar_constant():
 
 
 def test_tau_on_u():
-    u = USeries.from_terms(F3, 4, {1: 1})
-    assert u.tau(1) == USeries.from_terms(F3, 12, {3: 1})
+    u = scalar_series(F3, 4, {1: 1})
+    assert u.tau(1) == scalar_series(F3, 12, {3: 1})
 
 
 @pytest.mark.parametrize("field", [F2, F3])
@@ -169,8 +185,8 @@ def test_truncate_cannot_extend():
 
 
 def test_shift_validation():
-    f = USeries.from_terms(F3, 6, {2: 1})
-    assert f.shift(-2) == USeries.from_terms(F3, 4, {0: 1})
+    f = scalar_series(F3, 6, {2: 1})
+    assert f.shift(-2) == scalar_series(F3, 4, {0: 1})
     with pytest.raises(ValueError):
         f.shift(-3)
     with pytest.raises(PrecisionError):
@@ -235,20 +251,18 @@ def test_recomputing_at_higher_precision_truncates_back(field, data):
 
 def test_phi_theta():
     theta = UniPoly.gen(F3)
-    op = carlitz_phi(theta)
-    assert op.coeffs == (theta, UniPoly.one(F3))
+    assert carlitz_phi(theta) == (theta, UniPoly.one(F3))
 
 
 def test_phi_constant():
-    assert carlitz_phi(UniPoly.one(F3)).coeffs == (UniPoly.one(F3),)
+    assert carlitz_phi(UniPoly.one(F3)) == (UniPoly.one(F3),)
 
 
 @pytest.mark.parametrize("field", [F2, F3])
 def test_phi_theta_squared(field):
     theta = UniPoly.gen(field)
-    op = carlitz_phi(theta * theta)
     expected_mid = theta.tau_twist(1) + theta   # theta^q + theta
-    assert op.coeffs == (theta * theta, expected_mid, UniPoly.one(field))
+    assert carlitz_phi(theta * theta) == (theta * theta, expected_mid, UniPoly.one(field))
 
 
 @pytest.mark.parametrize("field", [F2, F3])
@@ -258,40 +272,47 @@ def test_phi_is_multiplicative_exhaustive(field):
         polys.extend(enumerate_monic(field, d))
     for a in polys:
         for b in polys:
-            assert carlitz_phi(a * b) == carlitz_phi(a).compose(carlitz_phi(b))
+            assert carlitz_phi(a * b) == compose(carlitz_phi(a), carlitz_phi(b))
 
 
 @pytest.mark.parametrize("field", [F2, F3])
 def test_phi_coefficient_invariants(field):
     for d in (1, 2, 3):
         for a in enumerate_monic(field, d):
-            op = carlitz_phi(a)
-            assert op.tau_degree == d
-            assert op.coeffs[0] == a
-            assert op.coeffs[d] == UniPoly.one(field)
+            phi = carlitz_phi(a)
+            assert len(phi) == d + 1
+            assert phi[0] == a
+            assert phi[d] == UniPoly.one(field)
 
 
-def test_phi_theta_chain_is_built_once_per_field(monkeypatch):
-    # carlitz_phi combines cached phi_{theta**k}; only a longer chain composes
+@pytest.mark.parametrize("field", [F2, F3, F4, F5])
+def test_phi_theta_powers_match_the_composed_chain(field):
+    # the recurrence [theta**k, i] = theta [theta**(k-1), i] + tau([theta**(k-1), i-1])
+    # is phi_theta composed with phi_{theta**(k-1)}
+    phi_theta = (UniPoly.gen(field), UniPoly.one(field))
+    chained = (UniPoly.one(field),)
+    for k in range(6):
+        assert series._phi_theta_power(field, k) == chained
+        chained = compose(phi_theta, chained)
+
+
+def test_phi_theta_chain_is_built_once_per_field():
+    # carlitz_phi combines cached phi_{theta**k}; only a longer chain builds more
     series._phi_theta_power.cache_clear()
-    composes = []
-    real = CarlitzOperator.compose
-    monkeypatch.setattr(CarlitzOperator, "compose",
-                        lambda self, other: composes.append(1) or real(self, other))
     theta = UniPoly.gen(F3)
     a = theta * theta * theta + theta
     first = carlitz_phi(a)
-    assert len(composes) == 3
-    assert carlitz_phi(a + UniPoly.one(F3)) == CarlitzOperator(
-        F3, [first.coeffs[0] + UniPoly.one(F3)] + list(first.coeffs[1:]))
-    assert len(composes) == 3
+    # phi_{theta**k} for k = 0..3
+    assert series._phi_theta_power.cache_info().misses == 4
+    assert carlitz_phi(a + UniPoly.one(F3)) == (first[0] + UniPoly.one(F3), *first[1:])
+    assert series._phi_theta_power.cache_info().misses == 4
     carlitz_phi(a * theta * theta)
-    assert len(composes) == 5
+    assert series._phi_theta_power.cache_info().misses == 6
     # each phi_a still equals the composition it is defined by
-    phi_theta = CarlitzOperator(F3, [theta, UniPoly.one(F3)])
-    chained = CarlitzOperator(F3, [UniPoly.one(F3)])
+    phi_theta = (theta, UniPoly.one(F3))
+    chained = (UniPoly.one(F3),)
     for _ in range(3):
-        chained = real(phi_theta, chained)
+        chained = compose(phi_theta, chained)
     assert carlitz_phi(theta * theta * theta) == chained
 
 
@@ -304,7 +325,7 @@ def test_phi_rejects_zero():
 
 
 def test_u_one_is_u():
-    assert u_c_expansion(UniPoly.one(F3), 7) == USeries.from_terms(F3, 7, {1: 1})
+    assert u_c_expansion(UniPoly.one(F3), 7) == scalar_series(F3, 7, {1: 1})
 
 
 @pytest.mark.parametrize("field", [F2, F3])

@@ -35,7 +35,7 @@ def test_identity_operator_fixes_sequences():
     seq = g_sequence(cat, 1, 3)
     image = op.apply(seq)
     for k, entry in image.items():
-        assert entry.agrees_with(seq[k])
+        assert entry.first_difference(seq[k]) is None
 
 
 @pytest.mark.parametrize("field", [F2, F3, finite_field(2, 2), F5])
