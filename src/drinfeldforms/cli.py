@@ -152,10 +152,7 @@ def _emit(args, *parts):
     """Write the parts in order to --out or stdout.  A part is text, or a
     function that writes through the `write` it is given.  The --out file
     is created only here, after every check that can reject the input."""
-    try:
-        fh = open(args.out, "w") if args.out else sys.stdout
-    except OSError as exc:
-        raise ValueError(f"cannot write --out: {exc}") from exc
+    fh = open(args.out, "w") if args.out else sys.stdout
     try:
         for part in parts:
             if isinstance(part, str):
@@ -439,11 +436,10 @@ def main(argv=None):
         args = parser.parse_args(argv)
     except SystemExit as exc:
         return exc.code if exc.code is not None else 0
-    if args.out and (os.path.isdir(args.out)
-                     or not os.path.isdir(os.path.dirname(args.out) or ".")):
+    if args.out and not os.path.isdir(os.path.dirname(args.out) or "."):
         # rejected before anything is computed
-        print(f"error: cannot write --out {args.out}: it is a directory or "
-              "its directory does not exist", file=sys.stderr)
+        print(f"error: cannot write --out {args.out}: its directory does not exist",
+              file=sys.stderr)
         return USAGE_EXIT
     try:
         return HANDLERS[args.command](args)

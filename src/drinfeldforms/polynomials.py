@@ -191,8 +191,8 @@ class BiPoly:
 
     An object is never changed once made.  The one datum it caches is
     `_pop`, the popcount of its planes (the kernel's no-carry bound, and
-    part of the hash), set by the first product or hash that reads it; a
-    restride does not change it.
+    part of the hash of a polynomial with two or more t-rows), set by the
+    first product or hash that reads it; a restride does not change it.
     No other layout of the planes is kept.
     """
 
@@ -289,8 +289,11 @@ class BiPoly:
         return xs == ys
 
     def __hash__(self):
-        # the rows and the popcount do not change under a restride, so
-        # equal polynomials hash equal whatever their strides
+        # one row is laid out the same at every stride, so its planes hash
+        # exactly; for more rows, the row count and the popcount do not
+        # change under a restride, so equal polynomials hash equal
+        if self._rows < 2:
+            return hash((self.field, self._planes))
         if self._pop is None:
             self._pop = sum(map(int.bit_count, self._planes))
         return hash((self.field, self._rows, self._pop))

@@ -119,43 +119,28 @@ def test_rejected_expand_writes_nothing(tmp_path, capsys, fmt):
     assert not target.exists()
 
 
-@pytest.mark.parametrize("command, out", [
-    (["expand", "--form", "g", "--p", "2", "--uprec", "8"], "missing/g.json"),
-    (["expand", "--form", "g", "--p", "2", "--uprec", "8", "--format", "tsv"], "."),
-    (["lvalue", "--p", "2", "--n", "2"], "."),
-    (["check", "--identity", "e-power", "--p", "2", "--uprec", "8"], "missing/x"),
+@pytest.mark.parametrize("command", [
+    ["expand", "--form", "g", "--p", "2", "--uprec", "8"],
+    ["expand", "--form", "g", "--p", "2", "--uprec", "8", "--format", "tsv"],
+    ["lvalue", "--p", "2", "--n", "2"],
+    ["check", "--identity", "e-power", "--p", "2", "--uprec", "8"],
 ])
-def test_unwritable_out_exits_2_before_computing(tmp_path, capsys, monkeypatch, command, out):
-    # an --out in a missing directory, or naming a directory, is a usage
-    # error found before the catalog or the L-value is computed
+def test_out_in_missing_directory_exits_2_before_computing(tmp_path, capsys, monkeypatch,
+                                                           command):
+    # an --out in a directory that does not exist is a usage error found
+    # before the catalog or the L-value is computed
     def never(*args):
         raise AssertionError("computed before --out was checked")
 
     monkeypatch.setattr(cli, "FormCatalog", never)
     monkeypatch.setattr(cli, "pellarin_partial", never)
-    target = tmp_path / out
+    target = tmp_path / "missing" / "out"
     code = main([*command, "--out", str(target)])
     captured = capsys.readouterr()
     assert code == 2
     assert captured.out == ""
     assert captured.err.startswith("error: ")
     assert sorted(tmp_path.iterdir()) == []
-
-
-def test_out_that_cannot_be_opened_exits_2(tmp_path, capsys, monkeypatch):
-    # a failure to open --out that the early check cannot see (a permission,
-    # a full disk) is a usage error too, not a failed identity
-    def refuse(path, mode):
-        raise PermissionError(13, "Permission denied", path)
-
-    monkeypatch.setattr(cli, "open", refuse, raising=False)
-    target = tmp_path / "g.json"
-    code = main(["expand", "--form", "g", "--p", "2", "--uprec", "8", "--out", str(target)])
-    captured = capsys.readouterr()
-    assert code == 2
-    assert captured.out == ""
-    assert captured.err.startswith("error: cannot write --out")
-    assert not target.exists()
 
 
 def test_reader_closing_stdout_early_is_no_failure():

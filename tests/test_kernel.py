@@ -170,6 +170,16 @@ def test_terms_round_trip_and_layout_free_identity(field, data):
     assert u.to_bipoly().terms == {(i, 0): c for i, c in enumerate(u.coeffs) if c}
 
 
+@pytest.mark.parametrize("field", [finite_field(3, 1), finite_field(2, 2)], ids=["F3", "F4"])
+def test_one_row_hash_tells_polynomials_of_one_degree_apart(field):
+    # all monic polynomials of degree 4: a set of them must not fall into a
+    # few hash buckets (as a hash of the popcount alone would)
+    q = field.q
+    monic = [UniPoly(field, [(n // q**i) % q for i in range(4)] + [1]) for n in range(q**4)]
+    assert len({hash(u) for u in monic}) > 0.9 * len(monic)
+    assert len(set(monic)) == len(monic)
+
+
 @pytest.mark.parametrize("p, e", [(251, 1), (257, 1), (2, 2), (2, 3)])
 @settings(max_examples=5)
 @given(data=st.data())
