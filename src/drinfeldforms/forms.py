@@ -20,14 +20,15 @@ term valuation stays below the precision, so truncations are exact.
 g, h, e, ee and f_{1,nu} are summed per degree in closed form
 (series.coset_sum, Lemma 1 over the cosets of the monic): their weights
 c, c**q, c**(q**nu) and chi_t(c) are F_q-linear in c, which makes
-sum_(deg c = d) w(c) u_c one relaxed division, and the unweighted
+sum_(deg c = d) w(c) u_c one series division (USeries /), and the unweighted
 sum_(deg c = d) u_c**(q-1) of g is the (q-1)-th power of sum u_c (the
 Goss polynomials G_k(X) = X**k for k <= q).  a_expansion, one u_c per
 monic c, is the definition and the brute-force oracle; it still computes
 f_{l,nu} for l >= 2, f_s and the right-hand sides of the power checks,
 whose weighted powers do not collapse.  The powers u_c**l with 1 < l < q
 come from sparse steps by the (deg c + 1)-term polynomial
-u**(q**deg c) phi_c(1/u) (see u_c_power).
+u**(q**deg c) phi_c(1/u) (see u_c_power).  Every object the catalog
+builds (forms, the monic of each degree, each u_c**l) sits in one cache.
 
 All comparisons are reported with the first differing u-exponent, never
 asserted, so the same machinery drives both the verified identities and
@@ -74,16 +75,12 @@ class FormCatalog:
             raise PrecisionError("catalog precision must be >= 1")
         self.field = field
         self.prec = int(prec)
-        self._monic = {}
-        self._uc_pow = {}
         self._cache = {}
 
     # -- summation helpers -----------------------------------------------------
 
     def monic(self, d):
-        if d not in self._monic:
-            self._monic[d] = enumerate_monic(self.field, d)
-        return self._monic[d]
+        return self._cached(("monic", d), lambda: enumerate_monic(self.field, d))
 
     def summation_degrees(self, weight):
         """Degrees d with weight * q**d < prec: exactly the terms that matter."""
@@ -94,17 +91,13 @@ class FormCatalog:
         return out
 
     def u_c(self, c, power=1):
-        key = (c.coeffs, power)
-        cached = self._uc_pow.get(key)
-        if cached is None:
+        def build():
             if power == 1:
-                cached = u_c_expansion(c, self.prec)
-            elif 1 < power < self.field.q:
-                cached = u_c_power(self.u_c(c), c, power)
-            else:
-                cached = (self.u_c(c) ** power).truncate(self.prec)
-            self._uc_pow[key] = cached
-        return cached
+                return u_c_expansion(c, self.prec)
+            if 1 < power < self.field.q:
+                return u_c_power(self.u_c(c), c, power)
+            return (self.u_c(c) ** power).truncate(self.prec)
+        return self._cached(("u_c", c.coeffs, power), build)
 
     def a_expansion(self, power, coefficient_of, degrees=None):
         """sum over monic c of coefficient_of(c) * u_c**power, modulo u**prec.
@@ -297,11 +290,6 @@ class FormCatalog:
         lhs = (self.f_l_nu(1, nu) ** l).truncate(self.prec)
         return compare_series(lhs, self.f_l_nu(l, nu))
 
-    def _h_unit_inv(self, k):
-        """(h / u)**(-k), cached: h = u * unit, so x / h**k is
-        (x * _h_unit_inv(k)).shift(-k), which raises if x is not divisible."""
-        return self._cached(("h_unit_inv", k), lambda: self.h.shift(-1).inv() ** k)
-
     def resolve_recursive(self, nu):
         """Test the candidate recursions
             ( g**q f_{i, nu-1}**q - B f_{i, nu-2}**(q*q) ) / h**(q-1)
@@ -313,13 +301,15 @@ class FormCatalog:
         field, q = self.field, self.field.q
         oracle = self.f_l_nu(1, nu)
         gq = (self.g ** q).truncate(self.prec)
+        inv = None
         candidates = []
         for inner in (1, 2):
             gq_fa = gq * (self.f_l_nu(inner, nu - 1) ** q).truncate(self.prec)
             fb = (self.f_l_nu(inner, nu - 2) ** (q * q)).truncate(self.prec)
-            # the division by h**(q-1) is linear: both parts meet the unit
-            # inverse once for all three brackets.  val(gq_fa) >= q and
-            # val(fb) >= q**2, so the products keep precision prec.
+            # h = u * unit, so x / h**(q-1) is (x * inv).shift(1 - q) with
+            # inv = 1 / unit**(q-1), which both parts meet once for all three
+            # brackets.  val(gq_fa) >= q and val(fb) >= q**2, so the
+            # products keep precision prec.
             parts = None
             for twist in (2, 1, 0):
                 bracket = bracket_twisted(field, nu - 2, twist)
@@ -327,8 +317,10 @@ class FormCatalog:
                          "bracket_twist": twist}
                 try:
                     if parts is None:
-                        unit_inv = self._h_unit_inv(q - 1)
-                        parts = gq_fa * unit_inv, fb * unit_inv
+                        if inv is None:
+                            unit = self.h.shift(-1) ** (q - 1)
+                            inv = USeries.one(field, unit.prec) / unit
+                        parts = gq_fa * inv, fb * inv
                     rhs = (parts[0] - parts[1].scale(bracket)).shift(1 - q)
                 except (ValueError, PrecisionError) as exc:
                     entry.update({"equal": False, "first_difference": None,

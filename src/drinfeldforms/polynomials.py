@@ -173,6 +173,26 @@ def _chunks(xs, slots, bits):
     return [([(x >> off) & mask for x in xs], off) for off in range(0, top, size)]
 
 
+def _power(x, k):
+    """x**k for k >= 1, x a BiPoly or a USeries (anything with field,
+    * and frobenius): repeated squaring on the part m of k = m q**v prime
+    to q, then one frobenius(v), which is exponent scaling.  It starts
+    from x, so x**(q**v) makes no product."""
+    q = x.field.q
+    v = 0
+    while k % q == 0:
+        k //= q
+        v += 1
+    result = None
+    while k:
+        if k & 1:
+            result = x if result is None else result * x
+        k >>= 1
+        if k:
+            x = x * x
+    return result.frobenius(v)
+
+
 class BiPoly:
     """Bivariate polynomial over F_q, packed into the field's slot planes.
 
@@ -327,29 +347,12 @@ class BiPoly:
     def scale(self, c):
         return _product_sum(self.field, ((self, self.scalar(self.field, c)),), type(self))
 
-    def _pow_small(self, k):
-        result = self.one(self.field)
-        base = self
-        while k:
-            if k & 1:
-                result = result * base
-            k >>= 1
-            if k:
-                base = base * base
-        return result
-
     def __pow__(self, k):
         if k < 0:
             raise ValueError("negative exponent")
         if k == 0:
             return self.one(self.field)
-        q = self.field.q
-        v = 0
-        while k % q == 0:
-            k //= q
-            v += 1
-        base = self._pow_small(k)
-        return base.frobenius(v) if v else base
+        return _power(self, k)
 
     def frobenius(self, k=1):
         """self**(q**k): both exponents scale, F_q-scalars are fixed."""

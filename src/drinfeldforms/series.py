@@ -5,6 +5,7 @@ operation computes the precision its output genuinely has:
 
   add:        min(P_f, P_g)
   mul:        min(P_f + val(g), P_g + val(f))
+  f / g:      min(P_f, P_g + val(f))   (g with a nonzero F_q constant term)
   tau**k:     P * q**k     (exponents scale by q**k, theta twists)
   f**(q**k):  P * q**k     (Frobenius: freshman's dream in char p)
 
@@ -21,19 +22,20 @@ of u_c = 1 / phi_c(1/u) for monic c and of its powers u_c**l,
 1 <= l <= q, and coset_sum, the sum of w(c) u_c over all monic c of one
 degree for an F_q-linear weight w, in closed form.
 
-Every triangular solve (the division by P_c behind u_c, the one division
-of each coset_sum, USeries.inv and the d2 recurrence in forms) is one
-routine, _relaxed_solve.  It is
-relaxed: only reachable exponents are solved.  Each nonzero coefficient
-pushes its contributions forward when it is found, so an exponent that
-nothing reaches costs no coefficient product.
+There is one exact division, f / g: u_c = u**(q**d) / P_c, the up steps
+of u_c**l, the end of each coset_sum and every unit inverse use it.  It
+and the d2 recurrence in forms are the triangular solves, and both are
+one routine, _relaxed_solve.  It is relaxed: only reachable exponents
+are solved.  Each nonzero coefficient pushes its contributions forward
+when it is found, so an exponent that nothing reaches costs no
+coefficient product.
 """
 
 from functools import lru_cache
 
 from . import polynomials
 from .errors import PrecisionError
-from .polynomials import BiPoly, UniPoly, _same_field
+from .polynomials import BiPoly, UniPoly, _power, _same_field
 
 
 class USeries:
@@ -166,35 +168,26 @@ class USeries:
             raise ValueError("negative series exponent")
         if k == 0:
             return USeries.one(self.field, self.prec)
-        q = self.field.q
-        v = 0
-        while k % q == 0:
-            k //= q
-            v += 1
-        result = None
-        base = self
-        while k:
-            if k & 1:
-                result = base if result is None else result * base
-            k >>= 1
-            if k:
-                base = base * base
-        return result.frobenius(v) if v else result
+        return _power(self, k)
 
-    def inv(self):
-        """Inverse of a series whose constant term is a nonzero F_q scalar.
+    def __truediv__(self, other):
+        """self / other for other with a nonzero F_q-scalar constant term b_0,
+        at the precision of self * (1 / other), min(P_a, P_b + val(a)).
 
-        One relaxed solve of b_n = -inv0 * sum_(k > 0) a_k b_(n - k)."""
+        One relaxed solve of x_n = c (a_n - sum_(k > 0) b_k x_(n - k)),
+        c = 1 / b_0.  When c = 1 (P_c, powers of units) the offsets are the
+        negated b_k and the seed is a itself: no product before the solve."""
+        _same_field(self, other)
         f = self.field
-        c0 = self.coeffs.get(0)
-        if c0 is None or c0.theta_degree() != 0 or c0.t_degree() != 0:
-            raise ValueError("inverse requires a unit scalar constant term")
-        inv0 = f.inv(c0.terms[(0, 0)])
-        neg_inv0 = f.neg(inv0)
-        rule = (1, [(k, a.scale(neg_inv0)) for k, a in sorted(self.coeffs.items()) if k > 0],
-                None)
-        return USeries._raw(f, self.prec, _relaxed_solve(
-            f, self.prec, {0: BiPoly.scalar(f, inv0)}, [rule]))
+        b0 = other.coeffs.get(0)
+        if b0 is None or b0.theta_degree() != 0 or b0.t_degree() != 0:
+            raise ValueError("division requires a unit scalar constant term")
+        c = f.inv(b0.terms[(0, 0)])
+        prec = min(self.prec, other.prec + self.val())
+        seed = self.coeffs if c == 1 else {n: a.scale(c) for n, a in self.coeffs.items()}
+        offsets = [(k, -b if c == 1 else b.scale(f.neg(c)))
+                   for k, b in sorted(other.coeffs.items()) if k]
+        return USeries._raw(f, prec, _relaxed_solve(f, prec, seed, [(1, offsets, None)]))
 
     # -- Frobenius-type maps ----------------------------------------------------
 
@@ -284,10 +277,10 @@ def carlitz_phi(a):
 
 
 def _reversed_phi(c):
-    """(q**d, terms) for monic c of degree d, where terms lists the pairs
-    (q**d - q**i, [c, i]) with i < d and [c, i] nonzero, so that
+    """(q**d, P_c) for monic c of degree d, where P_c maps the exponents
+    q**d - q**i, i <= d with [c, i] nonzero, to [c, i]:
 
-        P_c(u) = u**(q**d) phi_c(1/u) = 1 + sum over terms of [c, i] u**(q**d - q**i).
+        P_c(u) = u**(q**d) phi_c(1/u) = sum [c, i] u**(q**d - q**i).
 
     The constant term of P_c is [c, d] = 1, and P_c has at most d + 1 terms.
     """
@@ -295,8 +288,8 @@ def _reversed_phi(c):
         raise ValueError("u_c requires a monic polynomial")
     q, d = c.field.q, c.degree
     phi = carlitz_phi(c)
-    return q ** d, [(q ** d - q ** i, phi[i].to_bipoly())
-                    for i in range(d) if not phi[i].is_zero]
+    return q ** d, {q ** d - q ** i: phi[i].to_bipoly()
+                    for i in range(d + 1) if not phi[i].is_zero}
 
 
 def _relaxed_solve(field, prec, seed, rules):
@@ -347,24 +340,6 @@ def _relaxed_solve(field, prec, seed, rules):
     return x
 
 
-def _times_u_qd_over_pc(y, qd, terms):
-    """y * u**(q**d) / P_c, kept at the precision of y.
-
-    One relaxed division: P_c has constant term 1, so the quotient z
-    satisfies z_n = y_(n - q**d) - sum [c, i] z_(n - q**d + q**i)."""
-    field = y.field
-    rule = (1, sorted((s, -a) for s, a in terms), None)
-    return USeries._raw(field, y.prec, _relaxed_solve(
-        field, y.prec, {n + qd: c for n, c in y.coeffs.items()}, [rule]))
-
-
-def _times_pc_over_u_qd(y, qd, terms):
-    """y * P_c / u**(q**d) for y divisible by u**(q**d); precision drops by q**d."""
-    field = y.field
-    pc = USeries._raw(field, y.prec, {0: BiPoly.one(field), **dict(terms)})
-    return (y * pc).shift(-qd)
-
-
 def coset_sum(field, d, prec, weights):
     """sum of w(c) u_c over the q**d monic c of degree d, modulo u**prec.
 
@@ -406,8 +381,7 @@ def coset_sum(field, d, prec, weights):
         num = [(n1_d1_q2 * c - a * d1_q1).truncate(work) for a, c in zip(num, den)]
         den = [c.truncate(-(-work // q)).frobenius(1).truncate(work)
                - (c * d1_q1).truncate(work) for c in den]
-    terms = [(s, a) for s, a in den[0].coeffs.items() if s]
-    return _times_u_qd_over_pc(num[0].shift(qd), 0, terms)
+    return num[0].shift(qd) / den[0]
 
 
 def u_c_expansion(c, prec):
@@ -419,8 +393,9 @@ def u_c_expansion(c, prec):
     """
     if prec <= 0:
         raise PrecisionError("u_c requires positive precision")
-    qd, terms = _reversed_phi(c)
-    return _times_u_qd_over_pc(USeries.one(c.field, prec), qd, terms)
+    field = c.field
+    qd, pc = _reversed_phi(c)
+    return USeries(field, prec, {qd: BiPoly.one(field)}) / USeries(field, prec, pc)
 
 
 def u_c_power(uc, c, l):
@@ -435,17 +410,19 @@ def u_c_power(uc, c, l):
     field, prec, q = uc.field, uc.prec, uc.field.q
     if not 1 <= l <= q:
         raise ValueError(f"u_c_power needs 1 <= l <= q, got {l}")
-    qd, terms = _reversed_phi(c)
+    qd, pc = _reversed_phi(c)
     if l * qd >= prec:
         return USeries.zero(field, prec)
     if l - 1 <= q - l:
+        p_c = USeries(field, prec, pc)
         y = uc
         for _ in range(l - 1):
-            y = _times_u_qd_over_pc(y, qd, terms)
+            y = y.truncate(prec - qd).shift(qd) / p_c
         return y
     # each down step loses q**d of precision, and u_c**q is known modulo
     # u**(q * prec), which covers the q - l steps since l * q**d < prec
     y = uc.frobenius(1).truncate(prec + (q - l) * qd)
+    p_c = USeries(field, y.prec, pc)
     for _ in range(q - l):
-        y = _times_pc_over_u_qd(y, qd, terms)
+        y = (y * p_c).shift(-qd)
     return y

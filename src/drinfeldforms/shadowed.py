@@ -93,15 +93,25 @@ def _tiling_sum(catalog, k):
 
         T_k = T_(k-1) g**(q**(k-1)) + T_(k-2) delta**(q**(k-2)) (t - theta**(q**(k-1))),
 
-    with T_0 = 1 and T_1 = g, so each T_k costs two series products."""
+    with T_0 = 1 and T_1 = g, so each T_k costs two series products.
+    A Frobenius image x**(q**j) is needed modulo u**prec only, so x is
+    truncated to ceil(prec / q**j) first: theta-degrees stay below
+    prec * deg x, not q**j.  Once delta**(q**(k-2)) vanishes modulo
+    u**prec, so does the domino, and t - theta**(q**(k-1)) is not built."""
     def build():
         field, prec, q = catalog.field, catalog.prec, catalog.field.q
         if k == 0:
             return USeries.one(field, prec)
-        total = (_tiling_sum(catalog, k - 1) * catalog.g.frobenius(k - 1)).truncate(prec)
+
+        def frobenius(x, j):
+            return x.truncate(-(-prec // q ** j)).frobenius(j)
+
+        total = (_tiling_sum(catalog, k - 1) * frobenius(catalog.g, k - 1)).truncate(prec)
         if k == 1:
             return total
-        domino = (_tiling_sum(catalog, k - 2) * catalog.delta.frobenius(k - 2)).truncate(prec)
+        domino = (_tiling_sum(catalog, k - 2) * frobenius(catalog.delta, k - 2)).truncate(prec)
+        if domino.is_zero:
+            return total
         return total + domino.scale(t_minus_theta_pow(field, q ** (k - 1)))
 
     return catalog._cached(("tiling", k), build)

@@ -104,12 +104,12 @@ def operator_l2(catalog):
     With B = g**(1+q) + delta (t - theta**q):
         tau**0 - g**(1-q) B tau**1 - delta (t - theta**q) B tau**2
                + g**(1-q) delta**(1+2q) (t - theta**q)(t - theta**(q*q))**2 tau**3
-    where g**(1-q) = g * inv(g**q) (g has unit constant term).
+    where g**(1-q) = g / g**q (g has constant term 1).
     """
     field, prec, q = catalog.field, catalog.prec, catalog.field.q
     g, d, d_t = catalog.g, catalog.delta, catalog.delta_t
     tq2 = t_minus_theta_pow(field, q * q)
-    g_one_minus_q = (g * (g ** q).truncate(prec).inv()).truncate(prec)
+    g_one_minus_q = g / g ** q
     b = ((g ** (1 + q)).truncate(prec) + d_t).truncate(prec)
     a3 = (g_one_minus_q * (d ** (1 + 2 * q)).truncate(prec)).truncate(prec)
     a3 = a3.scale(t_minus_theta_pow(field, q)).scale(tq2 * tq2)

@@ -44,13 +44,16 @@ def test_sym_det_stays_within_its_count_budget(monkeypatch):
     code, counts = count_operations(monkeypatch,
                                     "check --identity sym-det --p 3 --l 1..6 --seed 1")
     assert code == 0
-    assert counts["kernel_calls"] <= 22000, counts
+    assert counts["kernel_calls"] <= 21700, counts
     assert counts["restrides"] <= 23472, counts
 
 
 @pytest.mark.parametrize("argv, kernel_calls, restrides", [
     ("expand --form EE --p 3 --uprec 243", 458, 1096),
-    ("check --identity recurrence-l1 --p 2 --uprec 32", 1607, 3084),
+    ("check --identity recurrence-l1 --p 2 --uprec 32", 1578, 3040),
+    ("experiment --name resolve-recursive --nu 3 --p 2 --uprec 128", 10808, 0),
+    ("check --identity lvals --n 5 --p 3", 1342, 489),
+    ("check --identity recurrence-l2 --p 3 --uprec 27", 456, 351),
 ])
 def test_series_command_stays_within_its_count_budget(monkeypatch, argv, kernel_calls,
                                                       restrides):

@@ -28,6 +28,7 @@ CASES = {
     "check-fpower-q2-u16": "check --identity f-power --p 2 --uprec 16",
     "check-d2approx-q2-u20": "check --identity d2-approx --p 2 --uprec 20",
     "check-recl1-q2-u16": "check --identity recurrence-l1 --p 2 --uprec 16 --k 4",
+    "check-recl1-q2-u16-k16": "check --identity recurrence-l1 --p 2 --uprec 16 --k 16",
     "check-recl2-q3-u27": "check --identity recurrence-l2 --p 3 --uprec 27 --k 4",
     "check-symdet-q3": "check --identity sym-det --p 3 --trials 4 --seed 3",
     "check-partitions-n8": "check --identity partitions --n 8",
@@ -44,6 +45,8 @@ CASES = {
     "exp-conjfs-q3-u27-tsv": "experiment --name conjecture-fs --p 3 --uprec 27 --format tsv",
     "exp-eebeyond-q2-u16-tsv": "experiment --name ee-power-beyond-q --p 2 --uprec 16 "
                                "--format tsv",
+    "exp-resolve-q2-u1-underflow": "experiment --name resolve-recursive --nu 3 --p 2 "
+                                   "--uprec 1",
     "exp-resolve-q2-u64-tsv": "experiment --name resolve-recursive --nu 3 --p 2 --uprec 64 "
                               "--format tsv",
     "lvalue-q3-n3": "lvalue --alpha 2 --beta 1 --n 3 --p 3",

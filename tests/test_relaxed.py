@@ -1,5 +1,6 @@
-"""The relaxed solver behind u_c division, USeries.inv and d2, against the
-dense index loops it replaced (kept here as references)."""
+"""The relaxed solver behind USeries division (u_c, the steps of u_c**l,
+unit inverses) and d2, against the dense index loops it replaced (kept
+here as references)."""
 
 import random
 
@@ -11,8 +12,7 @@ from drinfeldforms import polynomials
 from drinfeldforms.fields import finite_field
 from drinfeldforms.forms import FormCatalog, t_minus_theta_pow
 from drinfeldforms.polynomials import BiPoly, UniPoly, enumerate_monic
-from drinfeldforms.series import (USeries, _relaxed_solve, _reversed_phi,
-                                  _times_pc_over_u_qd, _times_u_qd_over_pc)
+from drinfeldforms.series import USeries, _relaxed_solve, _reversed_phi
 
 FIELDS = [finite_field(2), finite_field(3), finite_field(2, 2), finite_field(5),
           finite_field(7)]
@@ -109,6 +109,26 @@ def rand_monic(field, rng, d):
     return UniPoly(field, [rng.randrange(field.q) for _ in range(d)] + [1])
 
 
+def rand_unit(field, rng, prec, density):
+    """A series whose constant term is a random nonzero F_q scalar."""
+    return rand_series(field, rng, prec, 1, density) + USeries(
+        field, prec, {0: BiPoly.scalar(field, rng.randrange(1, field.q))})
+
+
+def reversed_phi_terms(field, rng, d):
+    """(q**d, P_c as a dict, the terms of P_c other than its constant 1)
+    for a random monic c of degree d."""
+    qd, pc = _reversed_phi(rand_monic(field, rng, d))
+    return qd, pc, [(s, a) for s, a in sorted(pc.items()) if s]
+
+
+def up_step(y, qd, pc):
+    """y u**(q**d) / P_c at the precision of y."""
+    field, prec = y.field, y.prec
+    return (USeries(field, prec, {n + qd: c for n, c in y.coeffs.items()})
+            / USeries(field, prec, pc))
+
+
 series_cases = dict(field=st.sampled_from(FIELDS), seed=st.integers(0, 2 ** 32 - 1),
                     prec=st.integers(1, 40), density=st.sampled_from([0.1, 0.4, 1.0]))
 
@@ -117,35 +137,59 @@ series_cases = dict(field=st.sampled_from(FIELDS), seed=st.integers(0, 2 ** 32 -
 @given(val=st.integers(0, 12), d=st.integers(0, 3), **series_cases)
 def test_u_c_up_step_matches_dense_loop(field, seed, prec, density, val, d):
     rng = random.Random(seed)
-    qd, terms = _reversed_phi(rand_monic(field, rng, d))
+    qd, pc, terms = reversed_phi_terms(field, rng, d)
     y2 = rand_series(field, rng, 2 * prec, val, density)
     y = y2.truncate(prec)
-    assert _times_u_qd_over_pc(y, qd, terms) == times_u_qd_over_pc_reference(y, qd, terms)
-    assert _times_u_qd_over_pc(y2, qd, terms).truncate(prec) == _times_u_qd_over_pc(y, qd, terms)
+    assert up_step(y, qd, pc) == times_u_qd_over_pc_reference(y, qd, terms)
+    assert up_step(y2, qd, pc).truncate(prec) == up_step(y, qd, pc)
 
 
 @settings(max_examples=60)
 @given(extra=st.integers(0, 12), d=st.integers(0, 3), **series_cases)
 def test_u_c_down_step_matches_dense_loop(field, seed, prec, density, extra, d):
     rng = random.Random(seed)
-    qd, terms = _reversed_phi(rand_monic(field, rng, d))
+    qd, pc, terms = reversed_phi_terms(field, rng, d)
     prec += qd
     y2 = rand_series(field, rng, 2 * prec, qd + extra, density)
     y = y2.truncate(prec)
-    z = _times_pc_over_u_qd(y, qd, terms)
+    z = (y * USeries(field, prec, pc)).shift(-qd)
     assert z == times_pc_over_u_qd_reference(y, qd, terms)
-    assert _times_pc_over_u_qd(y2, qd, terms).truncate(prec - qd) == z
+    assert (y2 * USeries(field, 2 * prec, pc)).shift(-qd).truncate(prec - qd) == z
 
 
 @settings(max_examples=60)
 @given(**series_cases)
 def test_inv_matches_dense_loop(field, seed, prec, density):
     rng = random.Random(seed)
-    y2 = rand_series(field, rng, 2 * prec, 1, density) + USeries(
-        field, 2 * prec, {0: BiPoly.scalar(field, rng.randrange(1, field.q))})
+    y2 = rand_unit(field, rng, 2 * prec, density)
     y = y2.truncate(prec)
-    assert y.inv() == inv_reference(y)
-    assert y2.inv().truncate(prec) == y.inv()
+    inv = USeries.one(field, prec) / y
+    assert inv == inv_reference(y)
+    assert (USeries.one(field, 2 * prec) / y2).truncate(prec) == inv
+
+
+@settings(max_examples=80)
+@given(val=st.integers(0, 12), den_prec=st.integers(1, 40), **series_cases)
+def test_division_precision_reference_and_round_trip(field, seed, prec, density, val,
+                                                     den_prec):
+    # a / b for b with any nonzero scalar constant term, a of valuation 0..12
+    # (zero when val >= prec): the precision of a * (1 / b), its value, and
+    # the README's promise that recomputing at higher precision truncates back
+    rng = random.Random(seed)
+    a2 = rand_series(field, rng, 2 * prec, val, density)
+    b2 = rand_unit(field, rng, 2 * den_prec, density)
+    a, b = a2.truncate(prec), b2.truncate(den_prec)
+    quotient = a / b
+    assert quotient.prec == min(a.prec, b.prec + a.val())
+    assert quotient == a * inv_reference(b)
+    back = quotient * b
+    assert back == a.truncate(back.prec)
+    assert (a2 / b2).truncate(quotient.prec) == quotient
+    # a constant term of 0, theta or t is no unit scalar
+    rest = {n: c for n, c in b.coeffs.items() if n}
+    for constant in ({}, {0: BiPoly(field, {(1, 0): 1})}, {0: BiPoly(field, {(0, 1): 1})}):
+        with pytest.raises(ValueError):
+            a / USeries(field, den_prec, {**rest, **constant})
 
 
 @pytest.mark.parametrize("field", FIELDS, ids=FIELD_IDS)
@@ -186,7 +230,8 @@ def test_transforms_run_once_per_found_coefficient():
 def test_unreached_exponents_make_no_kernel_call(monkeypatch):
     # every degree-7 monic over F_2 at precision 256: u_c = u**128 / P_c has
     # 8 nonzero coefficients, where a dense loop makes one call per exponent;
-    # u**128 itself is reached by the seed alone and costs no call
+    # u**128 itself is reached by the seed alone and costs no call, and the
+    # constant term 1 of P_c makes its other terms offsets with no product
     field, prec = finite_field(2), 256
     calls = []
     kernel = polynomials._product_sum
@@ -196,10 +241,11 @@ def test_unreached_exponents_make_no_kernel_call(monkeypatch):
         return kernel(*args, **kwargs)
 
     for c in enumerate_monic(field, 7):
-        qd, terms = _reversed_phi(c)
+        qd, pc = _reversed_phi(c)
+        num, den = USeries(field, prec, {qd: BiPoly.one(field)}), USeries(field, prec, pc)
         calls.clear()
         monkeypatch.setattr(polynomials, "_product_sum", counted)
-        uc = _times_u_qd_over_pc(USeries.one(field, prec), qd, terms)
+        uc = num / den
         monkeypatch.setattr(polynomials, "_product_sum", kernel)
-        reached = {qd} | {n + s for n in uc.coeffs for s, _ in terms if n + s < prec}
+        reached = {qd} | {n + s for n in uc.coeffs for s in pc if s and n + s < prec}
         assert len(calls) == len(reached) - 1 == 7

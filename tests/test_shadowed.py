@@ -1,7 +1,11 @@
+import contextlib
+import io
+import tracemalloc
 from itertools import chain, combinations
 
 import pytest
 
+from drinfeldforms import cli
 from drinfeldforms.errors import PrecisionError
 from drinfeldforms.fields import finite_field
 from drinfeldforms.forms import FormCatalog, t_minus_theta_pow
@@ -171,6 +175,27 @@ def test_g1k_matches_recurrence(field):
         direct = g1k_shadowed(cat, k)
         assert direct == rec
         seq[k] = direct
+
+
+def test_deep_sequence_entries_stay_small():
+    # G_k needs g**(q**(k-1)) and delta**(q**(k-2)) only modulo u**prec, so
+    # no theta-degree near q**k is built: k = 20 stays within a few MB
+    # (whole Frobenius images peak above 60 MB there) and k = 60 completes
+    argv = "check --identity recurrence-l1 --p 2 --uprec 16 --k {}"
+
+    def run(k):
+        with contextlib.redirect_stdout(io.StringIO()):
+            return cli.main(argv.format(k).split())
+
+    tracemalloc.start()
+    try:
+        code = run(20)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert code == 0
+    assert peak < 4 * 2 ** 20, peak
+    assert run(60) == 0
 
 
 # -- approximation of d2 --------------------------------------------------------------
