@@ -29,6 +29,7 @@ CASES = {
     "check-d2approx-q2-u20": "check --identity d2-approx --p 2 --uprec 20",
     "check-recl1-q2-u16": "check --identity recurrence-l1 --p 2 --uprec 16 --k 4",
     "check-recl1-q2-u16-k16": "check --identity recurrence-l1 --p 2 --uprec 16 --k 16",
+    "check-recl1-q2-u16-k1-short": "check --identity recurrence-l1 --p 2 --uprec 16 --k 1",
     "check-recl2-q3-u27": "check --identity recurrence-l2 --p 3 --uprec 27 --k 4",
     "check-symdet-q3": "check --identity sym-det --p 3 --trials 4 --seed 3",
     "check-partitions-n8": "check --identity partitions --n 8",
