@@ -18,14 +18,14 @@ from .polynomials import BiPoly, UniPoly, enumerate_monic, monic_below
 from .series import USeries, carlitz_phi, u_c_expansion
 from .shadowed import (check_d2_approx, enumerate_shadowed, g1k_shadowed,
                        is_shadowed_partition)
-from .taurec import (TauOperator, TauSequence, g_sequence, matrix_det,
-                     operator_l1, operator_l2, sym_power_matrix)
+from .taurec import (TauOperator, g_sequence, matrix_det, operator_l1, operator_l2,
+                     sym_power_matrix)
 
 __version__ = "0.1.0"
 
 __all__ = [
     "BiPoly", "BruteForceInstance", "FiniteField", "FormCatalog", "PartialLValue",
-    "PrecisionError", "ResourceLimitError", "TauOperator", "TauSequence", "UniPoly",
+    "PrecisionError", "ResourceLimitError", "TauOperator", "UniPoly",
     "USeries", "bracket_twisted", "canonical_modulus",
     "carlitz_phi", "check_d2_approx", "check_lvals", "enumerate_monic",
     "enumerate_shadowed", "extension_field", "finite_field", "g1k_shadowed",

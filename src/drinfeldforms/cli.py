@@ -25,7 +25,7 @@ from .identities import (check_lvals, goss_degenerate_check, lemma1_check,
                          lemma2_check, lemma3_trials, pellarin_partial)
 from .serialize import canonical_json, write_lvalue, write_useries
 from .shadowed import check_d2_approx, partition_counts
-from .taurec import TauSequence, g_sequence, operator_l1, operator_l2, sym_det_trials
+from .taurec import g_sequence, operator_l1, operator_l2, sym_det_trials
 
 USAGE_EXIT = 2
 RESOURCE_EXIT = 3
@@ -323,8 +323,11 @@ def _check_recurrence_l1(args, field):
     catalog = FormCatalog(field, args.uprec)
     k_max = _given(args.k, 5)
     op = operator_l1(catalog)
-    constant = op.annihilates(TauSequence.constant(catalog.d2, k_max), catalog.prec)
+    # raises for a k_max too small for the operator
     closed_form = op.annihilates(g_sequence(catalog, 1, k_max), catalog.prec)
+    # every image entry of a constant sequence is the same series, so the
+    # shortest window certifies all k <= k_max
+    constant = op.annihilates([catalog.d2] * (op.order + 1), catalog.prec)
     return [{"q": field.q, "sequence": "d2", "k_max": k_max, "pass": constant},
             {"q": field.q, "sequence": "closed-form", "k_max": k_max, "pass": closed_form}]
 
@@ -405,6 +408,8 @@ def cmd_experiment(args):
     field = _build_field(args)
     catalog = FormCatalog(field, args.uprec)
     reports, extra = EXPERIMENTS[args.name](args, catalog)
+    if not reports:
+        raise ValueError("the parameters select nothing to check")
     header = _header(args, field, {"name": args.name, **extra})
     if args.format == "tsv":
         _emit(args, _tsv_document(header, _report_rows(reports, args.name)))

@@ -276,9 +276,6 @@ class FiniteField:
         z = self._zech[log[b] - la]
         return 0 if z is None else self._exp[la + z]
 
-    def sub(self, a, b):
-        return self.add(a, self.neg(b))
-
     def mul(self, a, b):
         return self._exp[self._log[a] + self._log[b]] if a and b else 0
 

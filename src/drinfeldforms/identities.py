@@ -62,38 +62,34 @@ def lemma1_check(field):
     return (pi + n_sum) * yq_minus_y == yq_minus_x * pi
 
 
+def _power_of_sum_holds(numerators, l):
+    """sum_i x_i**l == (sum_i x_i)**l for the fractions x_i = n_i / d over
+    one common denominator d, which cancels: sum_i n_i**l against
+    (sum_i n_i)**l, for nonempty numerators of any one ring."""
+    if l < 1:
+        raise ValueError("l must be >= 1")
+    first, *rest = numerators
+    return sum((n ** l for n in rest), first ** l) == sum(rest, first) ** l
+
+
 def lemma2_check(field, l):
     """1 + sum_u ((X + u)/(Y + u))**l == (1 + sum_u (X + u)/(Y + u))**l.
 
     A theorem for 1 <= l <= q; larger l is still computed so that the
-    failures can be reported as negative controls.
+    failures can be reported as negative controls.  Over the denominator
+    pi = prod_u (Y + u) the terms are pi and (X + u) * pi / (Y + u).
     """
-    if l < 1:
-        raise ValueError("l must be >= 1")
-    q = field.q
     pi, pi_except = _products_excluding(
         field, [_y_plus_u(field, u) for u in field.elements()])
-    lhs = pi ** l
-    rhs_inner = pi
-    for idx, u in enumerate(field.elements()):
-        xu = _x_plus_u(field, u)
-        lhs = lhs + (xu ** l) * (pi_except[idx] ** l)
-        rhs_inner = rhs_inner + xu * pi_except[idx]
-    return lhs == rhs_inner ** l
+    return _power_of_sum_holds(
+        [pi] + [_x_plus_u(field, u) * pe for u, pe in zip(field.elements(), pi_except)], l)
 
 
 def goss_degenerate_check(field, l):
     """sum_u (1/(Y + u))**l == (sum_u 1/(Y + u))**l over F_q(Y)."""
-    if l < 1:
-        raise ValueError("l must be >= 1")
     _, pi_except = _products_excluding(
         field, [UniPoly(field, (u, 1)) for u in field.elements()])
-    lhs = UniPoly.zero(field)
-    rhs_inner = UniPoly.zero(field)
-    for pe in pi_except:
-        lhs = lhs + pe ** l
-        rhs_inner = rhs_inner + pe
-    return lhs == rhs_inner ** l
+    return _power_of_sum_holds(pi_except, l)
 
 
 # -- brute-force character sums -----------------------------------------------------

@@ -380,11 +380,6 @@ class BiPoly:
         return self._make(self.field, tuple(_spread(x, s, nbytes) for x in self._planes),
                           self._stride * s)
 
-    def subs_t_theta(self):
-        """Substitute t -> theta (collapse the second variable into the first)."""
-        return BiPoly.from_pairs(self.field,
-                                 (((i + j, 0), v) for (i, j), v in self.terms.items()))
-
     def theta_degree(self):
         return max((i for i, _ in self.terms), default=None)
 

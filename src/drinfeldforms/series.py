@@ -154,8 +154,6 @@ class USeries:
 
     def scale(self, poly):
         """Multiply by a coefficient-ring element (precision unchanged)."""
-        if isinstance(poly, int):
-            poly = BiPoly.scalar(self.field, poly)
         out = {}
         for n, c in self.coeffs.items():
             s = c * poly
@@ -210,11 +208,6 @@ class USeries:
         s = self.field.q ** k
         return USeries._raw(self.field, self.prec * s,
                             {n * s: c.frobenius(k) for n, c in self.coeffs.items()})
-
-    def subs_t_theta(self):
-        """Specialise t -> theta in every coefficient, dropping the ones that vanish."""
-        return USeries(self.field, self.prec,
-                       {n: c.subs_t_theta() for n, c in self.coeffs.items()})
 
     # -- reshaping ----------------------------------------------------------------
 

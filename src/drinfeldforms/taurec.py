@@ -1,13 +1,15 @@
-"""tau-linear operators on sequences of u-expansions, and symmetric powers.
+"""tau-linear operators on lists of u-expansions, and symmetric powers.
 
-An operator A_0 tau**0 + ... + A_s tau**s acts on a sequence {G_k} by
+A sequence {G_k} is a list of series, entry k at index k.  An operator
+A_0 tau**0 + ... + A_s tau**s acts on it by
 
     (L G)_k = sum_i A_i * tau**i G_{k-i},
 
-so order-s operators consume an s-deep window.  The two operators of
-interest annihilate, respectively, the constant sequence d2 together
-with the closed-form sequence {G_k} of the shadowed module, and the
-sequence of their negated squares.
+so order-s operators consume an s-deep window: the image of a list of
+length n holds the entries k = s..n-1.  The two operators of interest
+annihilate, respectively, the constant sequence d2 together with the
+closed-form sequence {G_k} of the shadowed module, and the sequence of
+their negated squares.
 
 sym_power_matrix is the degree-l symmetric power of a 2x2 matrix in the
 monomial basis X**l, X**(l-1) Y, ..., Y**l; it is multiplicative and its
@@ -19,36 +21,6 @@ from .forms import t_minus_theta_pow
 from .polynomials import BiPoly
 from .series import USeries
 from .shadowed import g1k_shadowed
-
-
-class TauSequence:
-    """Sequence entries on a contiguous index window."""
-
-    __slots__ = ("field", "entries", "k_min", "k_max")
-
-    def __init__(self, entries):
-        if not entries:
-            raise ValueError("empty sequence window")
-        keys = sorted(entries)
-        if keys != list(range(keys[0], keys[-1] + 1)):
-            raise ValueError("sequence window must be contiguous")
-        fields = {s.field for s in entries.values()}
-        if len(fields) != 1:
-            raise ValueError("sequence entries live over different fields")
-        self.field = fields.pop()
-        self.entries = dict(entries)
-        self.k_min = keys[0]
-        self.k_max = keys[-1]
-
-    @classmethod
-    def constant(cls, series, k_max, k_min=0):
-        return cls({k: series for k in range(k_min, k_max + 1)})
-
-    def __getitem__(self, k):
-        return self.entries[k]
-
-    def items(self):
-        return sorted(self.entries.items())
 
 
 class TauOperator:
@@ -72,25 +44,22 @@ class TauOperator:
     def order(self):
         return len(self.coeffs) - 1
 
-    def apply(self, seq):
-        """Entry k of the image is sum_i A_i * tau**i (G_{k-i})."""
+    def apply(self, entries):
+        """[(L G)_k for s <= k < len(entries)], where (L G)_k is
+        sum_i A_i * tau**i (G_{k-i})."""
         s = self.order
-        if seq.k_max - seq.k_min < s:
-            raise ValueError(
-                f"sequence window of length {seq.k_max - seq.k_min + 1} "
-                f"is too short for an order-{s} operator")
-        out = {}
-        for k in range(seq.k_min + s, seq.k_max + 1):
-            acc = None
-            for i, a in enumerate(self.coeffs):
-                term = a * seq[k - i].tau(i)
-                acc = term if acc is None else acc + term
-            out[k] = acc
-        return TauSequence(out)
+        if len(entries) <= s:
+            raise ValueError(f"sequence window of length {len(entries)} "
+                             f"is too short for an order-{s} operator")
+        image = []
+        for k in range(s, len(entries)):
+            terms = [a * entries[k - i].tau(i) for i, a in enumerate(self.coeffs)]
+            image.append(sum(terms[1:], terms[0]))
+        return image
 
-    def annihilates(self, seq, prec):
+    def annihilates(self, entries, prec):
         """Every entry of the image is zero, certified modulo u**prec."""
-        return all(entry.is_zero and entry.prec >= prec for _, entry in self.apply(seq).items())
+        return all(entry.is_zero and entry.prec >= prec for entry in self.apply(entries))
 
 
 def operator_l1(catalog):
@@ -130,11 +99,8 @@ def g_sequence(catalog, l, k_max):
     q = catalog.field.q
     if not 1 <= l <= q:
         raise ValueError(f"l must satisfy 1 <= l <= q, got {l}")
-    entries = {}
-    for k in range(k_max + 1):
-        power = (g1k_shadowed(catalog, k) ** l).truncate(catalog.prec)
-        entries[k] = power if l % 2 else -power
-    return TauSequence(entries)
+    powers = [(g1k_shadowed(catalog, k) ** l).truncate(catalog.prec) for k in range(k_max + 1)]
+    return powers if l % 2 else [-power for power in powers]
 
 
 def _binomial_rows(x, y, l):

@@ -50,10 +50,11 @@ def test_sym_det_stays_within_its_count_budget(monkeypatch):
 
 @pytest.mark.parametrize("argv, kernel_calls, restrides", [
     ("expand --form EE --p 3 --uprec 243", 458, 1096),
-    ("check --identity recurrence-l1 --p 2 --uprec 32", 1578, 3040),
+    ("check --identity recurrence-l1 --p 2 --uprec 32", 1296, 2107),
     ("experiment --name resolve-recursive --nu 3 --p 2 --uprec 128", 10808, 0),
     ("check --identity lvals --n 5 --p 3", 1342, 489),
     ("check --identity recurrence-l2 --p 3 --uprec 27", 456, 351),
+    ("check --identity lemma2", 41, 24),
 ])
 def test_series_command_stays_within_its_count_budget(monkeypatch, argv, kernel_calls,
                                                       restrides):

@@ -41,6 +41,7 @@ CASES = {
     "check-lvals-l4-usage": "check --identity lvals --l 4 --p 3",
     "check-d2approx-k4-underflow": "check --identity d2-approx --k 4 --p 3 --uprec 20",
     "exp-conjfs-q2-u16": "experiment --name conjecture-fs --s 1..3 --p 2 --uprec 16",
+    "exp-conjfs-q2-u16-empty": "experiment --name conjecture-fs --s 1..0 --p 2 --uprec 16",
     "exp-resolve-q2-u64": "experiment --name resolve-recursive --nu 3 --p 2 --uprec 64",
     "exp-eebeyond-q2-u16": "experiment --name ee-power-beyond-q --l q+1 --p 2 --uprec 16",
     "exp-conjfs-q3-u27-tsv": "experiment --name conjecture-fs --p 3 --uprec 27 --format tsv",

@@ -7,6 +7,7 @@ from drinfeldforms.fields import finite_field
 from drinfeldforms.forms import FormCatalog, bracket_twisted, t_minus_theta_pow
 from drinfeldforms.polynomials import BiPoly, UniPoly, monic_below
 from drinfeldforms.series import USeries, u_c_expansion
+from test_polynomials import at_t_theta
 
 F2 = finite_field(2)
 F3 = finite_field(3)
@@ -96,7 +97,7 @@ def test_d2_satisfies_difference_equation(field):
 
 @pytest.mark.parametrize("field", [F2, F3])
 def test_d2_specialized_at_t_theta(field):
-    d2 = catalog(field, 30).d2.subs_t_theta()
+    d2 = at_t_theta(catalog(field, 30).d2)
     assert d2.coefficient(0) == BiPoly.one(field)
     assert d2.coefficient(field.q - 1).is_zero
 
@@ -169,7 +170,7 @@ def test_u_c_power_walk_matches_dense_power(p, e, prec):
 def test_ee_basics(field):
     cat = catalog(field, 30)
     assert cat.ee.coefficient(1) == BiPoly.one(field)
-    assert cat.ee.subs_t_theta() == cat.e
+    assert at_t_theta(cat.ee) == cat.e
 
 
 @pytest.mark.parametrize("field", [F2, F3, F4])
@@ -302,7 +303,7 @@ def test_conjecture_fs_small_range():
     # when the comparison holds, specializing t -> theta must keep it holding
     s = 2
     assert cat.conjecture_fs(s)["equal"]
-    lhs = (cat.f_s(s) * cat.d2).subs_t_theta()
+    lhs = at_t_theta(cat.f_s(s) * cat.d2)
     exp = s * (cat.field.q - 1)
     rhs = cat.a_expansion(1, lambda c: (c ** (1 + exp)).to_bipoly())
     assert lhs.first_difference(rhs) is None

@@ -10,6 +10,7 @@ from drinfeldforms.identities import (BruteForceInstance, PartialLValue,
                                       lemma3_bruteforce, lemma3_trials,
                                       pellarin_partial)
 from drinfeldforms.polynomials import BiPoly, UniPoly, monic_below
+from test_polynomials import at_t_theta
 
 F2 = finite_field(2)
 F3 = finite_field(3)
@@ -39,8 +40,8 @@ def test_lemma1_x_equals_y_specialization():
             n_sum = n_sum + _x_plus_u(field, u) * pi_except[idx]
         yq_minus_y = BiPoly(field, {(0, q): 1, (0, 1): field.neg(1)})
         yq_minus_x = BiPoly(field, {(0, q): 1, (1, 0): field.neg(1)})
-        lhs = ((pi + n_sum) * yq_minus_y).subs_t_theta()
-        rhs = (yq_minus_x * pi).subs_t_theta()
+        lhs = at_t_theta((pi + n_sum) * yq_minus_y)
+        rhs = at_t_theta(yq_minus_x * pi)
         assert lhs == rhs
 
 
@@ -241,7 +242,7 @@ def exact_quotient(a, b):
         c = f.mul(rem[shift + db], inv_lead)
         quo[shift] = c
         for i, cb in enumerate(b.coeffs):
-            rem[shift + i] = f.sub(rem[shift + i], f.mul(c, cb))
+            rem[shift + i] = f.add(rem[shift + i], f.neg(f.mul(c, cb)))
     assert not any(rem), "not an exact division"
     return UniPoly(f, quo)
 

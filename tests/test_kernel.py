@@ -17,6 +17,7 @@ from drinfeldforms import polynomials
 from drinfeldforms.fields import finite_field
 from drinfeldforms.polynomials import BiPoly, UniPoly
 from drinfeldforms.series import USeries
+from test_polynomials import at_t_theta
 
 FIELDS = [finite_field(p, e) for p, e in
           [(2, 1), (3, 1), (2, 2), (5, 1), (2, 3), (3, 2), (251, 1), (257, 1)]]
@@ -143,7 +144,7 @@ def test_twists_and_substitution_match_reference(field, data):
         s = field.q ** k
         assert a.tau_twist(k).terms == {(i * s, j): v for (i, j), v in t.items()}
         assert a.frobenius(k).terms == {(i * s, j * s): v for (i, j), v in t.items()}
-    assert a.subs_t_theta().terms == ref_accumulate(
+    assert at_t_theta(a).terms == ref_accumulate(
         field, [((i + j, 0), v) for (i, j), v in t.items()])
     assert a.theta_degree() == max((i for i, _ in t), default=None)
     assert a.t_degree() == max((j for _, j in t), default=None)
