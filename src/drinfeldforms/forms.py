@@ -22,13 +22,18 @@ g, h, e, ee and f_{1,nu} are summed per degree in closed form
 c, c**q, c**(q**nu) and chi_t(c) are F_q-linear in c, which makes
 sum_(deg c = d) w(c) u_c one series division (USeries /), and the unweighted
 sum_(deg c = d) u_c**(q-1) of g is the (q-1)-th power of sum u_c (the
-Goss polynomials G_k(X) = X**k for k <= q).  a_expansion, one u_c per
-monic c, is the definition and the brute-force oracle; it still computes
-f_{l,nu} for l >= 2, f_s and the right-hand sides of the power checks,
-whose weighted powers do not collapse.  The powers u_c**l with 1 < l < q
-come from sparse steps by the (deg c + 1)-term polynomial
-u**(q**deg c) phi_c(1/u) (see u_c_power).  Every object the catalog
-builds (forms, the monic of each degree, each u_c**l) sits in one cache.
+Goss polynomials G_k(X) = X**k for k <= q).  The denominators of that
+sum do not depend on the weight: their chain (series.coset_denominators)
+is computed once per degree and working precision, and every sum that
+needs it shares it.  In char p, f_{q,nu} = f_{1,nu}**q is a Frobenius
+image, and f_s is f_{1,nu} when 1 + s(q-1) = q**nu.  a_expansion, one u_c
+per monic c, is the definition and the brute-force oracle; it still
+computes f_{l,nu} for 1 < l < q, the other f_s and the right-hand sides
+of the power checks, whose weighted powers do not collapse.  The powers
+u_c**l with 1 < l < q come from sparse steps by the (deg c + 1)-term
+polynomial u**(q**deg c) phi_c(1/u) (see u_c_power).  Every object the
+catalog builds (forms, the monic of each degree, each u_c**l, each chain
+of denominators) sits in one cache.
 
 All comparisons are reported with the first differing u-exponent, never
 asserted, so the same machinery drives both the verified identities and
@@ -37,7 +42,8 @@ the open-ended experiments.
 
 from .errors import PrecisionError
 from .polynomials import BiPoly, UniPoly, enumerate_monic
-from .series import USeries, _relaxed_solve, coset_sum, u_c_expansion, u_c_power
+from .series import (USeries, _relaxed_solve, coset_denominators, coset_sum, u_c_expansion,
+                     u_c_power)
 
 
 def t_minus_theta_pow(field, k):
@@ -131,12 +137,22 @@ class FormCatalog:
             # sum u_c has valuation >= q**d, so its power needs it only
             # modulo u**(prec - (power - 1) q**d)
             unweighted = [BiPoly.zero(field)] * d + [BiPoly.one(field)]
-            return (coset_sum(field, d, prec - (power - 1) * q ** d, unweighted)
+            return (self._coset_sum(d, prec - (power - 1) * q ** d, unweighted)
                     ** power).truncate(prec)
         if power != 1:
             raise ValueError("a weighted coset sum needs power 1")
-        return coset_sum(field, d, prec,
-                         [coefficient_of(UniPoly(field, [0] * k + [1])) for k in range(d + 1)])
+        return self._coset_sum(
+            d, prec, [coefficient_of(UniPoly(field, [0] * k + [1])) for k in range(d + 1)])
+
+    def _coset_sum(self, d, prec, weights):
+        """series.coset_sum modulo u**prec, on the denominator chain of
+        degree d, which every weight at that precision shares."""
+        work = prec - self.field.q ** d
+        if work <= 0:
+            return USeries.zero(self.field, prec)
+        chain = self._cached(("chain", d, work),
+                             lambda: coset_denominators(self.field, d, work))
+        return coset_sum(chain, weights)
 
     def linear_a_expansion(self, power, coefficient_of=None):
         """a_expansion(power, coefficient_of) by one coset_sum per summation
@@ -209,24 +225,37 @@ class FormCatalog:
     # -- A-expansion families ------------------------------------------------------
 
     def f_l_nu(self, l, nu):
-        """f_{l, nu} = sum c**(l q**nu) u_c**l for 1 <= l <= q, nu >= 0."""
+        """f_{l, nu} = sum c**(l q**nu) u_c**l for 1 <= l <= q, nu >= 0.
+
+        f_{1, nu} is summed in closed form and f_{q, nu} = f_{1, nu}**q is
+        its Frobenius image (char p); the l between go through a_expansion."""
         q = self.field.q
         if not 1 <= l <= q:
             raise ValueError(f"l must satisfy 1 <= l <= q, got {l}")
         if nu < 0:
             raise ValueError("nu must be >= 0")
-        weight = power_weight(l * q ** nu)
-        sum_of = self.linear_a_expansion if l == 1 else self.a_expansion
-        return self._cached(("f", l, nu), lambda: sum_of(l, weight))
+
+        def build():
+            if l == 1:
+                return self.linear_a_expansion(1, power_weight(q ** nu))
+            if l == q:
+                return self.f_l_nu(1, nu).frobenius(1).truncate(self.prec)
+            return self.a_expansion(l, power_weight(l * q ** nu))
+        return self._cached(("f", l, nu), build)
 
     def f_s(self, s):
-        """f_s = sum c**(1 + s(q-1)) u_c for s >= 1."""
+        """f_s = sum c**(1 + s(q-1)) u_c for s >= 1; f_{1, nu} when
+        1 + s(q-1) = q**nu."""
         if s < 1:
             raise ValueError("s must be >= 1")
-        exp = 1 + s * (self.field.q - 1)
-        return self._cached(
-            ("fs", s),
-            lambda: self.a_expansion(1, lambda c: (c ** exp).to_bipoly()))
+        q = self.field.q
+        exp = 1 + s * (q - 1)
+        nu = 0
+        while q ** nu < exp:
+            nu += 1
+        if q ** nu == exp:
+            return self.f_l_nu(1, nu)
+        return self._cached(("fs", s), lambda: self.a_expansion(1, power_weight(exp)))
 
     # -- identity reports ------------------------------------------------------------
 
@@ -281,14 +310,18 @@ class FormCatalog:
         return report
 
     def check_f_power(self, l, nu):
-        """Compare f_{1, nu}**l with f_{l, nu} (a theorem for 1 <= l <= q)."""
+        """Compare f_{1, nu}**l with f_{l, nu} (a theorem for 1 <= l <= q).
+
+        f_l_nu(q, nu) is f_{1, nu}**q itself, so at l = q the right-hand
+        side is the brute-force sum."""
         q = self.field.q
         if not 1 <= l <= q:
             raise ValueError(f"l must satisfy 1 <= l <= q, got {l}")
         if nu < 1:
             raise ValueError("nu must be >= 1")
         lhs = (self.f_l_nu(1, nu) ** l).truncate(self.prec)
-        return compare_series(lhs, self.f_l_nu(l, nu))
+        rhs = self.a_expansion(q, power_weight(q * q ** nu)) if l == q else self.f_l_nu(l, nu)
+        return compare_series(lhs, rhs)
 
     def resolve_recursive(self, nu):
         """Test the candidate recursions

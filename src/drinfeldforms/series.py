@@ -20,7 +20,8 @@ phi_{theta**k} come from one cached chain per field, by the recurrence
 phi_{theta**k} = (theta + tau) phi_{theta**(k-1)}), the exact expansions
 of u_c = 1 / phi_c(1/u) for monic c and of its powers u_c**l,
 1 <= l <= q, and coset_sum, the sum of w(c) u_c over all monic c of one
-degree for an F_q-linear weight w, in closed form.
+degree for an F_q-linear weight w, in closed form, from the weight-free
+chain of denominators that coset_denominators builds.
 
 There is one exact division, f / g: u_c = u**(q**d) / P_c, the up steps
 of u_c**l, the end of each coset_sum and every unit inverse use it.  It
@@ -333,48 +334,70 @@ def _relaxed_solve(field, prec, seed, rules):
     return x
 
 
-def coset_sum(field, d, prec, weights):
-    """sum of w(c) u_c over the q**d monic c of degree d, modulo u**prec.
+def coset_denominators(field, d, work):
+    """The weight-free half of coset_sum over the monic of degree d, modulo
+    u**work: (steps, den) with one step (d1**(q-2), d1**(q-1), rest) per
+    coefficient summed out and den = prod_(deg c = d) P_c.
 
-    w is F_q-linear, given on the basis: weights[k] = w(theta**k) for
-    k <= d (w = 1 is weights[d] = 1, weights[k] = 0 below).  Write
-    c = theta**d + sum_(k < d) c_k theta**k.  phi is F_q-linear, so
+    Write c = theta**d + sum_(k < d) c_k theta**k.  phi is F_q-linear, so
     P_c = u**(q**d) phi_c(1/u) = R_d + sum c_k R_k, with
-    R_k = u**(q**d) phi_(theta**k)(1/u), and w(c) u_c = u**(q**d) N / D
-    with N = w(c), D = P_c both affine in the c_k.  Summing out c_0, then
-    c_1, ... is Lemma 1 in homogeneous form:
+    R_k = u**(q**d) phi_(theta**k)(1/u).  Summing out c_0, then c_1, ...
+    replaces D = D0 + lambda D1, where D0 is affine in the c_k not summed
+    out yet and D1 = d1 is free of them, by
 
-        sum_(lambda in F_q) (N0 + lambda N1) / (D0 + lambda D1)
-            = D1**(q-2) (N1 D0 - N0 D1) / (D0**q - D0 D1**(q-1)).
+        prod_(lambda in F_q) (D0 + lambda D1) = D0**q - D0 D1**(q-1).
 
-    N1 and D1, the coefficients of the variable summed out, are free of
-    the others, and D0**q is a Frobenius image, again affine in them: N
-    and D stay affine.  After d steps the sum is u**(q**d) N / D, where D
-    has constant term 1, so it costs one relaxed division.  N and D are
-    needed modulo u**(prec - q**d) only.
+    D0**q is a Frobenius image, again affine in the other c_k, so D stays
+    affine; rest holds its part free of them and its coefficients of them,
+    by increasing k, before the step.  After d steps den, the product of
+    the P_c, has constant term 1.  Nothing here depends on a weight, so one
+    chain serves every weighted sum of that degree and precision.
     """
     q = field.q
     qd = q ** d
-    work = prec - qd
-    if work <= 0:
-        return USeries.zero(field, prec)
-    # den[0], num[0] are the parts free of the c_k; den[1:], num[1:] the
-    # coefficients of the c_k not summed out yet, by increasing k
     den = []
     for k in (d, *range(d)):
         row = _phi_theta_power(field, k)
         den.append(USeries(field, work, {qd - q ** i: row[i].to_bipoly()
                                           for i in range(k + 1)}))
-    num = [USeries(field, work, {0: weights[k]}) for k in (d, *range(d))]
+    steps = []
     for _ in range(d):
-        n1, d1 = num.pop(1), den.pop(1)
+        d1 = den.pop(1)
         d1_q2 = (d1 ** (q - 2)).truncate(work)
         d1_q1 = (d1_q2 * d1).truncate(work)
-        n1_d1_q2 = (n1 * d1_q2).truncate(work)
-        num = [(n1_d1_q2 * c - a * d1_q1).truncate(work) for a, c in zip(num, den)]
+        steps.append((d1_q2, d1_q1, tuple(den)))
         den = [c.truncate(-(-work // q)).frobenius(1).truncate(work)
                - (c * d1_q1).truncate(work) for c in den]
-    return num[0].shift(qd) / den[0]
+    return tuple(steps), den[0]
+
+
+def coset_sum(chain, weights):
+    """sum of w(c) u_c over the q**d monic c of degree d, modulo
+    u**(work + q**d), from chain = coset_denominators(field, d, work).
+
+    w is F_q-linear, given on the basis: weights[k] = w(theta**k) for
+    k <= d (w = 1 is weights[d] = 1, weights[k] = 0 below).  Then
+    w(c) u_c = u**(q**d) N / D with N = w(c) and D = P_c both affine in
+    the c_k (see coset_denominators), and summing out c_0, then c_1, ... is
+    Lemma 1 in homogeneous form:
+
+        sum_(lambda in F_q) (N0 + lambda N1) / (D0 + lambda D1)
+            = D1**(q-2) (N1 D0 - N0 D1) / (D0**q - D0 D1**(q-1)).
+
+    N1, the coefficient of the variable summed out, is free of the others,
+    so N stays affine.  The chain holds every denominator; after its d
+    steps the sum is u**(q**d) N / D, where D has constant term 1, so it
+    costs one relaxed division.
+    """
+    steps, den = chain
+    field, work, d = den.field, den.prec, len(steps)
+    # num[0] is the part free of the c_k; num[1:] the coefficients of the
+    # c_k not summed out yet, by increasing k
+    num = [USeries(field, work, {0: weights[k]}) for k in (d, *range(d))]
+    for d1_q2, d1_q1, rest in steps:
+        n1_d1_q2 = (num.pop(1) * d1_q2).truncate(work)
+        num = [(n1_d1_q2 * c - a * d1_q1).truncate(work) for a, c in zip(num, rest)]
+    return num[0].shift(field.q ** d) / den
 
 
 def u_c_expansion(c, prec):

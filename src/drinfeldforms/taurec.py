@@ -123,17 +123,20 @@ def sym_power_matrix(a, b, c, d, l):
     Basis X**l, X**(l-1) Y, ..., Y**l; entry (r, s) is the coefficient of
     X**(l-r) Y**r in (a X + c Y)**(l-s) (b X + d Y)**s, that is of Z**r in
     (a + c Z)**(l-s) (b + d Z)**s: one sum_of_products over the binomial
-    rows of the two factors.  Multiplicative, with determinant
-    (a d - b c)**((l*l + l) // 2).
+    rows of the two factors.  Column 0 is (a + c Z)**l and column l is
+    (b + d Z)**l, read off the rows as they are.  Multiplicative, with
+    determinant (a d - b c)**((l*l + l) // 2).
     """
     if l < 1:
         raise ValueError("l must be >= 1")
     field = a.field
     left = _binomial_rows(a, c, l)
     right = _binomial_rows(b, d, l)
-    return [[BiPoly.sum_of_products(field, [(left[l - s][j], right[s][r - j])
-                                            for j in range(max(0, r - s), min(l - s, r) + 1)])
-             for s in range(l + 1)]
+    return [[left[l][r],
+             *[BiPoly.sum_of_products(field, [(left[l - s][j], right[s][r - j])
+                                              for j in range(max(0, r - s), min(l - s, r) + 1)])
+               for s in range(1, l)],
+             right[l][r]]
             for r in range(l + 1)]
 
 
@@ -144,7 +147,7 @@ def matrix_det(matrix):
     The rows are expanded sparsest first, so a zero near the top prunes
     every minor below it; the result is negated when that order is an odd
     permutation of the rows.  Each nonzero entry is negated once, for the
-    odd positions of the expansion."""
+    odd positions of the expansion, and a 1 x 1 minor is its entry."""
     n = len(matrix)
     field = matrix[0][0].field
     order = sorted(range(n), key=lambda r: sum(not x.is_zero for x in matrix[r]))
@@ -153,8 +156,9 @@ def matrix_det(matrix):
     memo = {}
 
     def minor(cols):
-        if not cols:
-            return BiPoly.one(field)
+        if len(cols) == 1:
+            signed = rows[-1].get(cols[0])
+            return BiPoly.zero(field) if signed is None else signed[0]
         cached = memo.get(cols)
         if cached is not None:
             return cached

@@ -11,7 +11,7 @@ import io
 
 import pytest
 
-from drinfeldforms import cli, polynomials, series
+from drinfeldforms import cli, forms, polynomials, series
 from drinfeldforms.fields import finite_field
 from drinfeldforms.polynomials import BiPoly
 from drinfeldforms.series import USeries
@@ -21,8 +21,9 @@ def count_operations(monkeypatch, argv):
     # the phi_{theta**k} chain is cached per process: build it afresh, so
     # that the counts do not depend on which tests ran before
     series._phi_theta_power.cache_clear()
-    counts = {"kernel_calls": 0, "restrides": 0}
+    counts = {"kernel_calls": 0, "restrides": 0, "u_c_builds": 0}
     kernel, restride = polynomials._product_sum, polynomials._restride
+    u_c_expansion = forms.u_c_expansion
 
     def counted_kernel(*args):
         counts["kernel_calls"] += 1
@@ -32,8 +33,13 @@ def count_operations(monkeypatch, argv):
         counts["restrides"] += 1
         return restride(*args)
 
+    def counted_u_c(*args):
+        counts["u_c_builds"] += 1
+        return u_c_expansion(*args)
+
     monkeypatch.setattr(polynomials, "_product_sum", counted_kernel)
     monkeypatch.setattr(polynomials, "_restride", counted_restride)
+    monkeypatch.setattr(forms, "u_c_expansion", counted_u_c)
     with contextlib.redirect_stdout(io.StringIO()):
         code = cli.main(argv.split())
     return code, counts
@@ -44,14 +50,14 @@ def test_sym_det_stays_within_its_count_budget(monkeypatch):
     code, counts = count_operations(monkeypatch,
                                     "check --identity sym-det --p 3 --l 1..6 --seed 1")
     assert code == 0
-    assert counts["kernel_calls"] <= 21700, counts
+    assert counts["kernel_calls"] <= 18000, counts
     assert counts["restrides"] <= 23472, counts
 
 
 @pytest.mark.parametrize("argv, kernel_calls, restrides", [
     ("expand --form EE --p 3 --uprec 243", 458, 1096),
-    ("check --identity recurrence-l1 --p 2 --uprec 32", 1296, 2107),
-    ("experiment --name resolve-recursive --nu 3 --p 2 --uprec 128", 10808, 0),
+    ("check --identity recurrence-l1 --p 2 --uprec 32", 1230, 2107),
+    ("experiment --name resolve-recursive --nu 3 --p 2 --uprec 128", 5117, 0),
     ("check --identity lvals --n 5 --p 3", 1342, 489),
     ("check --identity recurrence-l2 --p 3 --uprec 27", 456, 351),
     ("check --identity lemma2", 41, 24),
@@ -62,6 +68,15 @@ def test_series_command_stays_within_its_count_budget(monkeypatch, argv, kernel_
     assert code == 0
     assert counts["kernel_calls"] <= kernel_calls, counts
     assert counts["restrides"] <= restrides, counts
+
+
+def test_resolve_recursive_at_q2_builds_no_u_c(monkeypatch):
+    # f_{1, nu} is summed in closed form and f_{2, nu} is its Frobenius
+    # image, so no sum divides once per monic c
+    code, counts = count_operations(
+        monkeypatch, "experiment --name resolve-recursive --nu 3 --p 2 --uprec 128")
+    assert code == 0
+    assert counts["u_c_builds"] == 0, counts
 
 
 def test_series_products_reach_the_patched_kernel(monkeypatch):

@@ -9,6 +9,9 @@ import pytest
 
 from drinfeldforms import cli, identities
 from drinfeldforms.cli import CHECKS, EXPERIMENTS, FORMS, HANDLERS, build_parser, main
+from drinfeldforms.forms import FormCatalog
+from drinfeldforms.polynomials import BiPoly
+from drinfeldforms.series import USeries
 
 
 def run_cli(capsys, *argv):
@@ -263,6 +266,25 @@ def test_check_failure_exits_one(capsys, monkeypatch):
     code, obj = run_json(capsys, "check", "--identity", "lemma1", "--p", "2")
     assert code == 1
     assert obj["pass"] is False
+
+
+def test_f_power_at_l_q_compares_against_the_brute_force_sum(capsys, monkeypatch):
+    # f_{q, nu} is the Frobenius image of f_{1, nu}, so only the brute-force
+    # a_expansion can catch a wrong l = q row: off by u**15 there, the
+    # l = q rows fail at exponent 15 and the l = 1 rows still pass
+    real = FormCatalog.a_expansion
+
+    def broken(self, power, coefficient_of, degrees=None):
+        out = real(self, power, coefficient_of, degrees)
+        if power == self.field.q:
+            out = out + USeries(self.field, self.prec, {self.prec - 1: BiPoly.one(self.field)})
+        return out
+
+    monkeypatch.setattr(FormCatalog, "a_expansion", broken)
+    code, obj = run_json(capsys, "check", "--identity", "f-power", "--p", "2", "--uprec", "16")
+    assert code == 1 and obj["pass"] is False
+    assert [(r["l"], r["nu"], r["pass"], r["first_difference"]) for r in obj["result"]] == [
+        (1, 1, True, None), (1, 2, True, None), (2, 1, False, 15), (2, 2, False, 15)]
 
 
 @pytest.mark.parametrize("argv,exit_code", [

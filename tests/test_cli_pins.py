@@ -32,6 +32,8 @@ CASES = {
     "check-recl1-q2-u16-k1-short": "check --identity recurrence-l1 --p 2 --uprec 16 --k 1",
     "check-recl2-q3-u27": "check --identity recurrence-l2 --p 3 --uprec 27 --k 4",
     "check-symdet-q3": "check --identity sym-det --p 3 --trials 4 --seed 3",
+    "expand-f-l2-nu2-q2-u32": "expand --form f --l 2 --nu 2 --p 2 --uprec 32",
+    "expand-f-l3-nu1-q3-u27": "expand --form f --l 3 --nu 1 --p 3 --uprec 27",
     "check-partitions-n8": "check --identity partitions --n 8",
     "check-cosetsum-q2-u16-tsv": "check --identity coset-sum --p 2 --uprec 16 --format tsv",
     "check-eehtaud2-q3-u27": "check --identity ee-h-tau-d2 --p 3 --uprec 27",

@@ -12,7 +12,7 @@ from drinfeldforms import forms, series
 from drinfeldforms.cli import main
 from drinfeldforms.fields import finite_field
 from drinfeldforms.forms import FormCatalog, power_weight
-from drinfeldforms.polynomials import BiPoly, UniPoly
+from drinfeldforms.polynomials import BiPoly, UniPoly, enumerate_monic
 from drinfeldforms.series import USeries
 
 FIELDS = [finite_field(2), finite_field(3), finite_field(2, 2), finite_field(5),
@@ -103,12 +103,12 @@ def test_coset_sum_check_names_form_degree_and_exponent(monkeypatch, capsys):
     # exponent prec - 1, for every weighted form
     real = forms.coset_sum
 
-    def broken(field, d, prec, weights):
-        out = real(field, d, prec, weights)
-        # g's unweighted sum has weights [0, 1] at degree 1; every weighted
-        # form here has w(1) = 1
-        if d == 1 and not weights[0].is_zero:
-            out = out + USeries(field, prec, {prec - 1: BiPoly.one(field)})
+    def broken(chain, weights):
+        out = real(chain, weights)
+        # the chain has one step per degree; g's unweighted sum has
+        # weights [0, 1] at degree 1; every weighted form here has w(1) = 1
+        if len(chain[0]) == 1 and not weights[0].is_zero:
+            out = out + USeries(out.field, out.prec, {out.prec - 1: BiPoly.one(out.field)})
         return out
 
     monkeypatch.setattr(forms, "coset_sum", broken)
@@ -120,3 +120,73 @@ def test_coset_sum_check_names_form_degree_and_exponent(monkeypatch, capsys):
     for key in (("h", None), ("E", None), ("EE", None), ("f", 1), ("f", 2)):
         assert (rows[key]["pass"], rows[key]["degree"], rows[key]["first_difference"]) == (
             False, 1, 26), key
+
+
+def test_coset_sum_check_compares_against_the_brute_force_sum(monkeypatch, capsys):
+    # the other side of every row is a_expansion over one degree: off by
+    # u**(prec - 1) at degree 1, every form fails there
+    real = FormCatalog.a_expansion
+
+    def broken(self, power, coefficient_of, degrees=None):
+        out = real(self, power, coefficient_of, degrees)
+        if degrees == [1]:
+            out = out + USeries(self.field, self.prec, {self.prec - 1: BiPoly.one(self.field)})
+        return out
+
+    monkeypatch.setattr(FormCatalog, "a_expansion", broken)
+    code = main(["check", "--identity", "coset-sum", "--p", "3", "--uprec", "27"])
+    obj = json.loads(capsys.readouterr().out)
+    assert code == 1
+    assert [(r["pass"], r["degree"], r["first_difference"]) for r in obj["result"]] == [
+        (False, 1, 26)] * 6
+
+
+# (q, prec) at which the chain is checked against the product of the P_c
+CHAIN_CASES = [(finite_field(2), 64), (finite_field(3), 81), (finite_field(2, 2), 64),
+               (finite_field(5), 125)]
+
+
+def chain_degrees(field, prec):
+    return [d for d in range(prec) if field.q ** d < prec]
+
+
+@pytest.mark.parametrize("field, prec", CHAIN_CASES, ids=lambda v: str(getattr(v, "q", v)))
+def test_chain_ends_in_the_product_of_the_p_c(field, prec):
+    for d in chain_degrees(field, prec):
+        product = USeries.one(field, prec)
+        for c in enumerate_monic(field, d):
+            product = (product * USeries(field, prec, series._reversed_phi(c)[1])).truncate(prec)
+        assert series.coset_denominators(field, d, prec)[1] == product, d
+
+
+def truncated_chain(chain, work):
+    steps, den = chain
+    return (tuple((a.truncate(work), b.truncate(work), tuple(r.truncate(work) for r in rest))
+                  for a, b, rest in steps), den.truncate(work))
+
+
+@pytest.mark.parametrize("field, prec", CHAIN_CASES, ids=lambda v: str(getattr(v, "q", v)))
+def test_chain_truncates_back(field, prec):
+    for d in chain_degrees(field, prec):
+        work = prec - field.q ** d
+        if work >= 2:
+            high = series.coset_denominators(field, d, work)
+            low = series.coset_denominators(field, d, work // 2)
+            assert truncated_chain(high, work // 2) == low, d
+
+
+@pytest.mark.parametrize("field", FIELDS, ids=lambda f: f"F{f.q}")
+def test_weighted_forms_share_one_chain_per_degree(monkeypatch, field):
+    built = []
+    real = forms.coset_denominators
+
+    def counted(field, d, work):
+        built.append((d, work))
+        return real(field, d, work)
+
+    monkeypatch.setattr(forms, "coset_denominators", counted)
+    prec = 2 * field.q ** 2 + 1
+    cat = FormCatalog(field, prec)
+    for form in (cat.h, cat.e, cat.ee, cat.f_l_nu(1, 2), cat.f_l_nu(1, 3)):
+        assert form.prec == prec
+    assert sorted(built) == [(d, prec - field.q ** d) for d in cat.summation_degrees(1)]

@@ -4,7 +4,7 @@ from hypothesis import strategies as st
 
 from drinfeldforms.errors import PrecisionError
 from drinfeldforms.fields import finite_field
-from drinfeldforms.forms import FormCatalog, bracket_twisted, t_minus_theta_pow
+from drinfeldforms.forms import FormCatalog, bracket_twisted, power_weight, t_minus_theta_pow
 from drinfeldforms.polynomials import BiPoly, UniPoly, monic_below
 from drinfeldforms.series import USeries, u_c_expansion
 from test_polynomials import at_t_theta
@@ -225,6 +225,14 @@ def test_check_f_power_specific_case():
     assert FormCatalog(F2, 64).check_f_power(2, 2)["equal"]
 
 
+@pytest.mark.parametrize("field", [F2, F3, F4, F5], ids=lambda f: f"F{f.q}")
+def test_f_q_nu_is_the_frobenius_image_of_the_brute_force_sum(field):
+    q = field.q
+    cat = FormCatalog(field, 2 * q ** 2 + 3)
+    for nu in range(3):
+        assert cat.f_l_nu(q, nu) == cat.a_expansion(q, power_weight(q ** (nu + 1))), nu
+
+
 def test_f_l_nu_range_validation():
     cat = catalog(F3, 30)
     with pytest.raises(ValueError):
@@ -249,6 +257,17 @@ def test_f_s_basics():
     assert fs.first_difference(cat.h) is None
     with pytest.raises(ValueError):
         cat.f_s(0)
+
+
+@pytest.mark.parametrize("field", [F2, F3, F4], ids=lambda f: f"F{f.q}")
+def test_f_s_at_a_power_of_q_is_the_closed_form(field):
+    # 1 + s(q-1) = q**nu for s = (q**nu - 1) / (q - 1): f_s is f_{1, nu}
+    q = field.q
+    cat = FormCatalog(field, q ** 3 + 2)
+    for nu in (1, 2, 3):
+        s = (q ** nu - 1) // (q - 1)
+        assert cat.f_s(s) is cat.f_l_nu(1, nu)
+        assert cat.f_s(s) == cat.a_expansion(1, power_weight(q ** nu)), nu
 
 
 # -- recursion resolution -----------------------------------------------------------------------

@@ -291,8 +291,9 @@ def test_matrix_det_prunes_lucas_sparse_sym_power(monkeypatch):
     # over F_3, Sym^3 has (a + cZ)**3 = a**3 + c**3 Z**3 and (b + dZ)**3 =
     # b**3 + d**3 Z**3 in columns 0 and 3, so rows 1 and 2 are nonzero only
     # in columns 1 and 2.  Expanded from those rows, the minors left are
-    # {0,1,2,3}, {0,2,3}, {0,1,3}, {0,3}, {0} and {3}: 6 sums, against the
-    # 2**4 - 1 = 15 minors of a dense 4 x 4 and 12 in the given row order.
+    # {0,1,2,3}, {0,2,3}, {0,1,3} and {0,3}, one sum each, and {0} and {3},
+    # which are entries: 4 expanded minors, against the 2**4 - 1 - 4 = 11
+    # minors of size >= 2 of a dense 4 x 4 and 10 in the given row order.
     a, b = BiPoly(F3, {(1, 0): 1}), BiPoly(F3, {(0, 1): 1})
     c, d = BiPoly.one(F3), BiPoly(F3, {(1, 1): 1})
     m = sym_power_matrix(a, b, c, d, 3)
@@ -305,7 +306,7 @@ def test_matrix_det_prunes_lucas_sparse_sym_power(monkeypatch):
                         classmethod(lambda cls, field, pairs:
                                     calls.append(1) or real(cls, field, pairs)))
     assert matrix_det(m) == (a * d - b * c) ** 6
-    assert len(calls) == 6
+    assert len(calls) == 4
 
 
 def test_sym_power_rejects_bad_l():
