@@ -17,23 +17,19 @@ plus the families f_{l,nu} = sum c**(l q**nu) u_c**l (1 <= l <= q) and
 f_s = sum c**(1 + s(q-1)) u_c.  Each sum runs over the monic c whose
 term valuation stays below the precision, so truncations are exact.
 
-g, h, e, ee and f_{1,nu} are summed per degree in closed form
-(series.coset_sum, Lemma 1 over the cosets of the monic): their weights
-c, c**q, c**(q**nu) and chi_t(c) are F_q-linear in c, which makes
-sum_(deg c = d) w(c) u_c one series division (USeries /), and the unweighted
-sum_(deg c = d) u_c**(q-1) of g is the (q-1)-th power of sum u_c (the
-Goss polynomials G_k(X) = X**k for k <= q).  The denominators of that
-sum do not depend on the weight: their chain (series.coset_denominators)
-is computed once per degree and working precision, and every sum that
-needs it shares it.  In char p, f_{q,nu} = f_{1,nu}**q is a Frobenius
-image, and f_s is f_{1,nu} when 1 + s(q-1) = q**nu.  a_expansion, one u_c
-per monic c, is the definition and the brute-force oracle; it still
-computes f_{l,nu} for 1 < l < q, the other f_s and the right-hand sides
-of the power checks, whose weighted powers do not collapse.  The powers
-u_c**l with 1 < l < q come from sparse steps by the (deg c + 1)-term
-polynomial u**(q**deg c) phi_c(1/u) (see u_c_power).  Every object the
-catalog builds (forms, the monic of each degree, each u_c**l, each chain
-of denominators) sits in one cache.
+Every A-expansion sum w(c) u_c**l has two twins with the same arguments
+(power, coefficient_of=None, degrees=None; None is the weight 1).
+a_expansion, one u_c per monic c, is the definition and the brute-force
+oracle, for any weight and power.  linear_a_expansion makes one closed-form
+series.coset_sum per degree, for a weight F_q-linear in c at power 1 or
+the weight 1 at any power l <= q (the Goss polynomials G_k(X) = X**k for
+k <= q); it sums g, h, e, ee and f_{1,nu}, on one chain of denominators per
+degree, which depends on neither the weight nor the power.  In char p,
+f_{q,nu} = f_{1,nu}**q is a Frobenius image, and f_s is f_{1,nu} when
+1 + s(q-1) = q**nu.  a_expansion computes f_{l,nu} for 1 < l < q, the
+other f_s and the other side of the checks; its u_c**l with 1 < l < q come
+from sparse steps (see u_c_power).  Every object the catalog builds (forms,
+the monic of each degree, each u_c**l, each chain) sits in one cache.
 
 All comparisons are reported with the first differing u-exponent, never
 asserted, so the same machinery drives both the verified identities and
@@ -88,10 +84,10 @@ class FormCatalog:
     def monic(self, d):
         return self._cached(("monic", d), lambda: enumerate_monic(self.field, d))
 
-    def summation_degrees(self, weight):
-        """Degrees d with weight * q**d < prec: exactly the terms that matter."""
+    def summation_degrees(self, power):
+        """Degrees d with power * q**d < prec: exactly the terms that matter."""
         out, d = [], 0
-        while weight * self.field.q ** d < self.prec:
+        while power * self.field.q ** d < self.prec:
             out.append(d)
             d += 1
         return out
@@ -105,61 +101,51 @@ class FormCatalog:
             return (self.u_c(c) ** power).truncate(self.prec)
         return self._cached(("u_c", c.coeffs, power), build)
 
-    def a_expansion(self, power, coefficient_of, degrees=None):
-        """sum over monic c of coefficient_of(c) * u_c**power, modulo u**prec.
+    def a_expansion(self, power, coefficient_of=None, degrees=None):
+        """sum over monic c of coefficient_of(c) * u_c**power, modulo u**prec;
+        coefficient_of None is the weight 1.
 
         The sum runs over the monic of the given degrees, by default every
         summation degree.  Each u-coefficient is one BiPoly.sum_of_products
         over the monic c."""
+        one = BiPoly.one(self.field)
         pairs = {}
         for d in self.summation_degrees(power) if degrees is None else degrees:
             for c in self.monic(d):
-                coef = coefficient_of(c)
+                coef = one if coefficient_of is None else coefficient_of(c)
                 for n, a in self.u_c(c, power).coeffs.items():
                     pairs.setdefault(n, []).append((coef, a))
         return USeries(self.field, self.prec,
                        {n: BiPoly.sum_of_products(self.field, ps) for n, ps in pairs.items()})
 
-    def coset_sum(self, d, power=1, coefficient_of=None):
-        """sum over monic c of degree d of coefficient_of(c) * u_c**power,
-        modulo u**prec, in closed form (series.coset_sum).
+    def linear_a_expansion(self, power, coefficient_of=None, degrees=None):
+        """a_expansion(power, coefficient_of, degrees) in closed form: one
+        series.coset_sum per degree, on that degree's denominator chain.
 
         coefficient_of must be F_q-linear in c: it is only evaluated at the
         theta**k, k <= d.  None is the weight 1, and then power may be any
-        1 <= power <= q: the sum of the u_c**power is the power of the sum
-        of the u_c.  A weighted sum needs power 1."""
+        1 <= power <= q: the sum of the u_c**power of one degree is the
+        power of the sum of its u_c.  A weighted sum needs power 1."""
         field, prec, q = self.field, self.prec, self.field.q
         if coefficient_of is None:
             if not 1 <= power <= q:
                 raise ValueError(f"power must satisfy 1 <= power <= q, got {power}")
+        elif power != 1:
+            raise ValueError("a weighted closed-form sum needs power 1")
+        total = USeries.zero(field, prec)
+        for d in self.summation_degrees(power) if degrees is None else degrees:
             if power * q ** d >= prec:
-                return USeries.zero(field, prec)
+                continue  # every u_c**power of degree d is 0 modulo u**prec
+            chain = self._cached(("chain", d),
+                                 lambda: coset_denominators(field, d, prec - q ** d))
+            if coefficient_of is None:
+                weights = [BiPoly.zero(field)] * d + [BiPoly.one(field)]
+            else:
+                weights = [coefficient_of(UniPoly(field, [0] * k + [1])) for k in range(d + 1)]
             # sum u_c has valuation >= q**d, so its power needs it only
             # modulo u**(prec - (power - 1) q**d)
-            unweighted = [BiPoly.zero(field)] * d + [BiPoly.one(field)]
-            return (self._coset_sum(d, prec - (power - 1) * q ** d, unweighted)
-                    ** power).truncate(prec)
-        if power != 1:
-            raise ValueError("a weighted coset sum needs power 1")
-        return self._coset_sum(
-            d, prec, [coefficient_of(UniPoly(field, [0] * k + [1])) for k in range(d + 1)])
-
-    def _coset_sum(self, d, prec, weights):
-        """series.coset_sum modulo u**prec, on the denominator chain of
-        degree d, which every weight at that precision shares."""
-        work = prec - self.field.q ** d
-        if work <= 0:
-            return USeries.zero(self.field, prec)
-        chain = self._cached(("chain", d, work),
-                             lambda: coset_denominators(self.field, d, work))
-        return coset_sum(chain, weights)
-
-    def linear_a_expansion(self, power, coefficient_of=None):
-        """a_expansion(power, coefficient_of) by one coset_sum per summation
-        degree, with coefficient_of as in coset_sum."""
-        total = USeries.zero(self.field, self.prec)
-        for d in self.summation_degrees(power):
-            total = total + self.coset_sum(d, power, coefficient_of)
+            s = coset_sum(chain, weights).truncate(prec - (power - 1) * q ** d)
+            total = total + (s ** power).truncate(prec)
         return total
 
     # -- the catalog -------------------------------------------------------------
@@ -269,7 +255,7 @@ class FormCatalog:
         return compare_series(lhs, rhs)
 
     def check_coset_sums(self, nus=(1, 2)):
-        """Per summation degree, coset_sum against the brute-force
+        """Per summation degree, linear_a_expansion against the brute-force
         a_expansion over the same degree, for g (the unweighted
         sum u_c**(q-1)), h, e, ee and f_{1, nu} for each nu in nus.
 
@@ -280,7 +266,6 @@ class FormCatalog:
         q = self.field.q
         if any(nu < 1 for nu in nus):
             raise ValueError("nu must be >= 1")
-        one = BiPoly.one(self.field)
         sums = [({"form": "g"}, q - 1, None), ({"form": "h"}, 1, power_weight(q)),
                 ({"form": "E"}, 1, power_weight(1)), ({"form": "EE"}, 1, UniPoly.chi_t)]
         sums += [({"form": "f", "l": 1, "nu": nu}, 1, power_weight(q ** nu)) for nu in nus]
@@ -293,8 +278,8 @@ class FormCatalog:
             row = {**labels, "degrees": len(degrees), "degree": None,
                    "first_difference": None, "pass": True}
             for d in degrees:
-                closed = self.coset_sum(d, power, weight)
-                brute = self.a_expansion(power, weight or (lambda c: one), [d])
+                closed = self.linear_a_expansion(power, weight, [d])
+                brute = self.a_expansion(power, weight, [d])
                 diff = closed.first_difference(brute)
                 if diff is not None or closed.prec != self.prec:
                     row.update({"degree": d, "first_difference": diff, "pass": False})
@@ -312,15 +297,17 @@ class FormCatalog:
     def check_f_power(self, l, nu):
         """Compare f_{1, nu}**l with f_{l, nu} (a theorem for 1 <= l <= q).
 
-        f_l_nu(q, nu) is f_{1, nu}**q itself, so at l = q the right-hand
-        side is the brute-force sum."""
+        f_l_nu(1, nu) is the left-hand side's base and f_l_nu(q, nu) is
+        f_{1, nu}**q itself, so at l = 1 and l = q the right-hand side is
+        the brute-force sum."""
         q = self.field.q
         if not 1 <= l <= q:
             raise ValueError(f"l must satisfy 1 <= l <= q, got {l}")
         if nu < 1:
             raise ValueError("nu must be >= 1")
         lhs = (self.f_l_nu(1, nu) ** l).truncate(self.prec)
-        rhs = self.a_expansion(q, power_weight(q * q ** nu)) if l == q else self.f_l_nu(l, nu)
+        rhs = (self.f_l_nu(l, nu) if 1 < l < q
+               else self.a_expansion(l, power_weight(l * q ** nu)))
         return compare_series(lhs, rhs)
 
     def resolve_recursive(self, nu):

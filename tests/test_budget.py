@@ -55,11 +55,12 @@ def test_sym_det_stays_within_its_count_budget(monkeypatch):
 
 
 @pytest.mark.parametrize("argv, kernel_calls, restrides", [
+    ("expand --form d2 --p 3 --uprec 243", 1207, 1047),
     ("expand --form EE --p 3 --uprec 243", 458, 1096),
     ("check --identity recurrence-l1 --p 2 --uprec 32", 1230, 2107),
     ("experiment --name resolve-recursive --nu 3 --p 2 --uprec 128", 5117, 0),
     ("check --identity lvals --n 5 --p 3", 1342, 489),
-    ("check --identity recurrence-l2 --p 3 --uprec 27", 456, 351),
+    ("check --identity recurrence-l2 --p 3 --uprec 27", 454, 351),
     ("check --identity lemma2", 41, 24),
 ])
 def test_series_command_stays_within_its_count_budget(monkeypatch, argv, kernel_calls,

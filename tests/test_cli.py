@@ -274,7 +274,7 @@ def test_f_power_at_l_q_compares_against_the_brute_force_sum(capsys, monkeypatch
     # l = q rows fail at exponent 15 and the l = 1 rows still pass
     real = FormCatalog.a_expansion
 
-    def broken(self, power, coefficient_of, degrees=None):
+    def broken(self, power, coefficient_of=None, degrees=None):
         out = real(self, power, coefficient_of, degrees)
         if power == self.field.q:
             out = out + USeries(self.field, self.prec, {self.prec - 1: BiPoly.one(self.field)})
@@ -285,6 +285,25 @@ def test_f_power_at_l_q_compares_against_the_brute_force_sum(capsys, monkeypatch
     assert code == 1 and obj["pass"] is False
     assert [(r["l"], r["nu"], r["pass"], r["first_difference"]) for r in obj["result"]] == [
         (1, 1, True, None), (1, 2, True, None), (2, 1, False, 15), (2, 2, False, 15)]
+
+
+def test_f_power_at_l_1_compares_against_the_brute_force_sum(capsys, monkeypatch):
+    # f_{1, nu} is the base of the left-hand side, so only the brute-force
+    # a_expansion can catch a wrong l = 1 row: off by u**15 at power 1, the
+    # l = 1 rows fail at exponent 15 and the l = 2 rows still pass
+    real = FormCatalog.a_expansion
+
+    def broken(self, power, coefficient_of=None, degrees=None):
+        out = real(self, power, coefficient_of, degrees)
+        if power == 1:
+            out = out + USeries(self.field, self.prec, {self.prec - 1: BiPoly.one(self.field)})
+        return out
+
+    monkeypatch.setattr(FormCatalog, "a_expansion", broken)
+    code, obj = run_json(capsys, "check", "--identity", "f-power", "--p", "2", "--uprec", "16")
+    assert code == 1 and obj["pass"] is False
+    assert [(r["l"], r["nu"], r["pass"], r["first_difference"]) for r in obj["result"]] == [
+        (1, 1, False, 15), (1, 2, False, 15), (2, 1, True, None), (2, 2, True, None)]
 
 
 @pytest.mark.parametrize("argv,exit_code", [

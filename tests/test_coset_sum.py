@@ -1,6 +1,7 @@
-"""The closed-form sum over the monic of one degree (series.coset_sum, wired
-through FormCatalog.coset_sum) against the brute-force a_expansion, which
-divides once per monic c."""
+"""The closed-form A-expansion sum (series.coset_sum, one per degree in
+FormCatalog.linear_a_expansion) against its twin, the brute-force
+a_expansion, which divides once per monic c.  Both take the same
+arguments, so every comparison here makes the same call to each."""
 
 import json
 
@@ -30,9 +31,20 @@ WEIGHTS = {
 }
 
 
-def brute(cat, d, power, weight):
-    one = BiPoly.one(cat.field)
-    return cat.a_expansion(power, weight or (lambda c: one), [d])
+@st.composite
+def linear_weights(draw, field):
+    """An F_q-linear weight c -> sum c_k w_k, given by random values w_k
+    on the basis theta**k, k <= 3."""
+    values = [BiPoly(field, draw(st.dictionaries(
+        st.tuples(st.integers(0, 3), st.integers(0, 2)), st.integers(1, field.q - 1),
+        max_size=3))) for _ in range(4)]
+
+    def coefficient_of(c):
+        total = BiPoly.zero(field)
+        for ck, w in zip(c.coeffs, values):
+            total = total + w.scale(ck)
+        return total
+    return coefficient_of
 
 
 @settings(max_examples=80)
@@ -45,10 +57,35 @@ def test_coset_sum_matches_brute_force_and_truncates_back(field, name, d, prec, 
         d -= 1  # the largest degree whose sum survives at the higher precision
     low = FormCatalog(field, prec)
     high = FormCatalog(field, prec + extra)
-    closed = low.coset_sum(d, power, weight)
+    closed = low.linear_a_expansion(power, weight, [d])
     assert closed.prec == prec
-    assert closed == brute(low, d, power, weight)
-    assert high.coset_sum(d, power, weight).truncate(prec) == closed
+    assert closed == low.a_expansion(power, weight, [d])
+    assert high.linear_a_expansion(power, weight, [d]).truncate(prec) == closed
+
+
+# a degree whose terms all vanish at the drawn precision is allowed
+@settings(max_examples=120)
+@given(data=st.data(), field=st.sampled_from(FIELDS), d=st.integers(0, 3),
+       prec=st.integers(1, 70), extra=st.integers(1, 40))
+def test_twins_agree_on_a_random_linear_weight(data, field, d, prec, extra):
+    weight = data.draw(linear_weights(field), label="weight")
+    low, high = FormCatalog(field, prec), FormCatalog(field, prec + extra)
+    closed = low.linear_a_expansion(1, weight, [d])
+    assert closed.prec == prec
+    assert closed == low.a_expansion(1, weight, [d])
+    assert high.linear_a_expansion(1, weight, [d]).truncate(prec) == closed
+
+
+@settings(max_examples=60)
+@given(field=st.sampled_from(FIELDS), d=st.integers(0, 3), prec=st.integers(1, 70),
+       extra=st.integers(1, 40))
+def test_twins_agree_on_the_weight_one_at_every_power(field, d, prec, extra):
+    low, high = FormCatalog(field, prec), FormCatalog(field, prec + extra)
+    for power in range(1, field.q + 1):
+        closed = low.linear_a_expansion(power, None, [d])
+        assert closed.prec == prec
+        assert closed == low.a_expansion(power, None, [d]), power
+        assert high.linear_a_expansion(power, None, [d]).truncate(prec) == closed, power
 
 
 @pytest.mark.parametrize("field", FIELDS, ids=lambda f: f"F{f.q}")
@@ -66,16 +103,16 @@ def test_linear_a_expansion_is_the_brute_force_sum(field):
     cat = FormCatalog(field, q ** 2 + 2)
     for name in ("g", "E", "h", "f_1_2", "EE"):
         power, weight = WEIGHTS[name](q)
-        expected = cat.a_expansion(power, weight or (lambda c: BiPoly.one(field)))
+        expected = cat.a_expansion(power, weight)
         assert cat.linear_a_expansion(power, weight) == expected, name
 
 
 def test_weighted_powers_are_rejected():
     cat = FormCatalog(finite_field(3), 20)
     with pytest.raises(ValueError):
-        cat.coset_sum(1, 2, power_weight(1))
+        cat.linear_a_expansion(2, power_weight(1), [1])
     with pytest.raises(ValueError):
-        cat.coset_sum(1, 4)
+        cat.linear_a_expansion(4, None, [1])
 
 
 @pytest.mark.parametrize("field, prec", [(finite_field(2), 256), (finite_field(3), 243),
@@ -127,7 +164,7 @@ def test_coset_sum_check_compares_against_the_brute_force_sum(monkeypatch, capsy
     # u**(prec - 1) at degree 1, every form fails there
     real = FormCatalog.a_expansion
 
-    def broken(self, power, coefficient_of, degrees=None):
+    def broken(self, power, coefficient_of=None, degrees=None):
         out = real(self, power, coefficient_of, degrees)
         if degrees == [1]:
             out = out + USeries(self.field, self.prec, {self.prec - 1: BiPoly.one(self.field)})
@@ -190,3 +227,8 @@ def test_weighted_forms_share_one_chain_per_degree(monkeypatch, field):
     for form in (cat.h, cat.e, cat.ee, cat.f_l_nu(1, 2), cat.f_l_nu(1, 3)):
         assert form.prec == prec
     assert sorted(built) == [(d, prec - field.q ** d) for d in cat.summation_degrees(1)]
+    # g's unweighted sum of the u_c**(q-1) is a power of the sum of the u_c,
+    # which takes the same chain as the weighted forms
+    shared = list(built)
+    assert cat.g.prec == prec
+    assert built == shared
