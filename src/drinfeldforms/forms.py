@@ -24,9 +24,9 @@ oracle, for any weight and power.  linear_a_expansion makes one closed-form
 series.coset_sum per degree, for a weight F_q-linear in c at power 1 or
 the weight 1 at any power l <= q (the Goss polynomials G_k(X) = X**k for
 k <= q); it sums g, h, e, ee and f_{1,nu}, on one chain of denominators per
-degree, which depends on neither the weight nor the power.  In char p,
-f_{q,nu} = f_{1,nu}**q is a Frobenius image, and f_s is f_{1,nu} when
-1 + s(q-1) = q**nu.  a_expansion computes f_{l,nu} for 1 < l < q, the
+degree, which depends on neither the weight nor the power.  Every other
+f_{l,nu} is pow(f_{1,nu}, l, prec) (a Frobenius image at l = q, char p),
+and f_s is f_{1,nu} when 1 + s(q-1) = q**nu.  a_expansion computes the
 other f_s and the other side of the checks; its u_c**l with 1 < l < q come
 from sparse steps (see u_c_power).  Every object the catalog builds (forms,
 the monic of each degree, each u_c**l, each chain) sits in one cache.
@@ -92,13 +92,20 @@ class FormCatalog:
             d += 1
         return out
 
+    def _reached_degrees(self, power, name):
+        """summation_degrees(power); none would make a check certify nothing."""
+        degrees = self.summation_degrees(power)
+        if not degrees:
+            raise PrecisionError(f"precision {self.prec} reaches no term of {name}")
+        return degrees
+
     def u_c(self, c, power=1):
         def build():
             if power == 1:
                 return u_c_expansion(c, self.prec)
             if 1 < power < self.field.q:
                 return u_c_power(self.u_c(c), c, power)
-            return (self.u_c(c) ** power).truncate(self.prec)
+            return pow(self.u_c(c), power, self.prec)
         return self._cached(("u_c", c.coeffs, power), build)
 
     def a_expansion(self, power, coefficient_of=None, degrees=None):
@@ -142,10 +149,7 @@ class FormCatalog:
                 weights = [BiPoly.zero(field)] * d + [BiPoly.one(field)]
             else:
                 weights = [coefficient_of(UniPoly(field, [0] * k + [1])) for k in range(d + 1)]
-            # sum u_c has valuation >= q**d, so its power needs it only
-            # modulo u**(prec - (power - 1) q**d)
-            s = coset_sum(chain, weights).truncate(prec - (power - 1) * q ** d)
-            total = total + (s ** power).truncate(prec)
+            total = total + pow(coset_sum(chain, weights), power, prec)
         return total
 
     # -- the catalog -------------------------------------------------------------
@@ -171,7 +175,7 @@ class FormCatalog:
     def delta(self):
         q = self.field.q
         return self._cached(
-            "delta", lambda: (-(self.h ** (q - 1))).truncate(self.prec))
+            "delta", lambda: -pow(self.h, q - 1, self.prec))
 
     @property
     def delta_t(self):
@@ -202,19 +206,19 @@ class FormCatalog:
         relaxed solve in increasing n gives it: each nonzero x_k is twisted
         once and pushed to the exponents kq + m and kq**2 + m it reaches.
         """
-        field, prec, q = self.field, self.prec, self.field.q
-        rules = [(q, sorted(self.g.coeffs.items()), lambda x: x.tau_twist(1)),
-                 (q * q, sorted(self.delta_t.coeffs.items()), lambda x: x.tau_twist(2))]
+        field, prec = self.field, self.prec
+        terms = [(1, sorted(self.g.coeffs.items())), (2, sorted(self.delta_t.coeffs.items()))]
         return USeries._raw(field, prec, _relaxed_solve(
-            field, prec, {0: BiPoly.one(field)}, rules))
+            field, prec, {0: BiPoly.one(field)}, terms))
 
     # -- A-expansion families ------------------------------------------------------
 
     def f_l_nu(self, l, nu):
         """f_{l, nu} = sum c**(l q**nu) u_c**l for 1 <= l <= q, nu >= 0.
 
-        f_{1, nu} is summed in closed form and f_{q, nu} = f_{1, nu}**q is
-        its Frobenius image (char p); the l between go through a_expansion."""
+        f_{1, nu} is summed in closed form and f_{l, nu} = f_{1, nu}**l
+        (f_{q, nu} is its Frobenius image, char p); check_f_power compares
+        each with the brute-force sum."""
         q = self.field.q
         if not 1 <= l <= q:
             raise ValueError(f"l must satisfy 1 <= l <= q, got {l}")
@@ -224,9 +228,7 @@ class FormCatalog:
         def build():
             if l == 1:
                 return self.linear_a_expansion(1, power_weight(q ** nu))
-            if l == q:
-                return self.f_l_nu(1, nu).frobenius(1).truncate(self.prec)
-            return self.a_expansion(l, power_weight(l * q ** nu))
+            return pow(self.f_l_nu(1, nu), l, self.prec)
         return self._cached(("f", l, nu), build)
 
     def f_s(self, s):
@@ -250,7 +252,8 @@ class FormCatalog:
         only for 1 <= l <= q, so callers beyond that range get a report."""
         if l < 1:
             raise ValueError("l must be >= 1")
-        lhs = (self.ee ** l).truncate(self.prec)
+        self._reached_degrees(l, f"EE**{l}")
+        lhs = pow(self.ee, l, self.prec)
         rhs = self.a_expansion(l, lambda c: c.chi_t() ** l)
         return compare_series(lhs, rhs)
 
@@ -271,10 +274,7 @@ class FormCatalog:
         sums += [({"form": "f", "l": 1, "nu": nu}, 1, power_weight(q ** nu)) for nu in nus]
         rows = []
         for labels, power, weight in sums:
-            degrees = self.summation_degrees(power)
-            if not degrees:
-                raise PrecisionError(f"precision {self.prec} reaches no term of "
-                                     f"{labels['form']}")
+            degrees = self._reached_degrees(power, labels["form"])
             row = {**labels, "degrees": len(degrees), "degree": None,
                    "first_difference": None, "pass": True}
             for d in degrees:
@@ -290,25 +290,21 @@ class FormCatalog:
     def check_ee_h_tau_d2(self):
         """Compare ee with Pellarin's h * tau(d2); it passes when they agree
         to the full catalog precision."""
+        self._reached_degrees(1, "EE")
         report = compare_series(self.ee, self.h * self.d2.tau(1))
         report["pass"] = report["equal"] and report["compared_precision"] == self.prec
         return report
 
     def check_f_power(self, l, nu):
-        """Compare f_{1, nu}**l with f_{l, nu} (a theorem for 1 <= l <= q).
-
-        f_l_nu(1, nu) is the left-hand side's base and f_l_nu(q, nu) is
-        f_{1, nu}**q itself, so at l = 1 and l = q the right-hand side is
-        the brute-force sum."""
+        """Compare f_l_nu(l, nu), which is f_{1, nu}**l, with the brute-force
+        sum c**(l q**nu) u_c**l (a theorem for 1 <= l <= q)."""
         q = self.field.q
         if not 1 <= l <= q:
             raise ValueError(f"l must satisfy 1 <= l <= q, got {l}")
         if nu < 1:
             raise ValueError("nu must be >= 1")
-        lhs = (self.f_l_nu(1, nu) ** l).truncate(self.prec)
-        rhs = (self.f_l_nu(l, nu) if 1 < l < q
-               else self.a_expansion(l, power_weight(l * q ** nu)))
-        return compare_series(lhs, rhs)
+        self._reached_degrees(l, f"f_{{{l}, {nu}}}")
+        return compare_series(self.f_l_nu(l, nu), self.a_expansion(l, power_weight(l * q ** nu)))
 
     def resolve_recursive(self, nu):
         """Test the candidate recursions
@@ -320,12 +316,12 @@ class FormCatalog:
             raise ValueError("nu must be >= 2")
         field, q = self.field, self.field.q
         oracle = self.f_l_nu(1, nu)
-        gq = (self.g ** q).truncate(self.prec)
+        gq = pow(self.g, q, self.prec)
         inv = None
         candidates = []
         for inner in (1, 2):
-            gq_fa = gq * (self.f_l_nu(inner, nu - 1) ** q).truncate(self.prec)
-            fb = (self.f_l_nu(inner, nu - 2) ** (q * q)).truncate(self.prec)
+            gq_fa = gq * pow(self.f_l_nu(inner, nu - 1), q, self.prec)
+            fb = pow(self.f_l_nu(inner, nu - 2), q * q, self.prec)
             # h = u * unit, so x / h**(q-1) is (x * inv).shift(1 - q) with
             # inv = 1 / unit**(q-1), which both parts meet once for all three
             # brackets.  val(gq_fa) >= q and val(fb) >= q**2, so the

@@ -15,7 +15,6 @@ value is hit by the q - 1 scalar multiples), which is how the l-th power
 relation between partial sums is phrased and checked here.
 """
 
-import random
 from itertools import product
 
 from .fields import extension_field
@@ -124,14 +123,11 @@ class BruteForceInstance:
         self.l = l
 
     @classmethod
-    def random(cls, base_field, n, l, seed=None, rng=None, m=4):
-        """Draw a reproducible instance; the extension degree grows with n
-        so that n independent elements exist.  The span that rejects a
-        dependent draw is the validation, so it is built once."""
-        if rng is None:
-            rng = random.Random(seed)
-        m = max(m, n)
-        ext, embed = extension_field(base_field, m)
+    def random(cls, base_field, n, l, rng):
+        """Draw an instance from rng in F_(q**max(4, n)), so that n
+        independent elements exist.  The span that rejects a dependent draw
+        is the validation, so it is built once."""
+        ext, embed = extension_field(base_field, max(4, n))
         span = _Span(ext, embed, base_field)
         ws = []
         while len(ws) < n:
@@ -192,7 +188,7 @@ def lemma3_trials(field, n, l, trials, rng):
     first instance that fails."""
     if trials < 1:
         raise ValueError("trials must be >= 1")
-    return all(lemma3_bruteforce(BruteForceInstance.random(field, n, l, rng=rng))
+    return all(lemma3_bruteforce(BruteForceInstance.random(field, n, l, rng))
                for _ in range(trials))
 
 

@@ -8,6 +8,7 @@ operation computes the precision its output genuinely has:
   f / g:      min(P_f, P_g + val(f))   (g with a nonzero F_q constant term)
   tau**k:     P * q**k     (exponents scale by q**k, theta twists)
   f**(q**k):  P * q**k     (Frobenius: freshman's dream in char p)
+  pow(f, k, R): R, from f modulo the least precision that fixes f**k there
 
 where val is the u-adic valuation of the stored truncation (val of a
 series with no stored terms is its precision).  Precisions never exceed
@@ -26,8 +27,9 @@ chain of denominators that coset_denominators builds.
 There is one exact division, f / g: u_c = u**(q**d) / P_c, the up steps
 of u_c**l, the end of each coset_sum and every unit inverse use it.  It
 and the d2 recurrence in forms are the triangular solves, and both are
-one routine, _relaxed_solve.  It is relaxed: only reachable exponents
-are solved.  Each nonzero coefficient pushes its contributions forward
+one routine, _relaxed_solve, whose terms (i, offsets) push tau**i of
+each coefficient forward (i = 0 for division).  It is relaxed: only
+reachable exponents are solved.  Each nonzero coefficient pushes its contributions forward
 when it is found, so an exponent that nothing reaches costs no
 coefficient product.
 """
@@ -162,12 +164,23 @@ class USeries:
                 out[n] = s
         return USeries._raw(self.field, self.prec, out)
 
-    def __pow__(self, k):
+    def __pow__(self, k, prec=None):
+        """self**k; pow(self, k, prec) is (self**k).truncate(prec) from self
+        modulo u**N only.  With k = m q**v, m prime to q, and
+        P = ceil(prec / q**v), it is the Frobenius image of self**m modulo
+        u**P, so N = max(P - (m - 1) val, ceil(P / m)) (the larger bound
+        covers a truncation with no term left)."""
         if k < 0:
             raise ValueError("negative series exponent")
-        if k == 0:
-            return USeries.one(self.field, self.prec)
-        return _power(self, k)
+        if prec is None or k == 0:
+            x = _power(self, k) if k else USeries.one(self.field, self.prec)
+            return x if prec is None else x.truncate(prec)
+        s = 1
+        while k % (s * self.field.q) == 0:
+            s *= self.field.q
+        p, m = -(-prec // s), k // s
+        n = min(self.prec, max(p - (m - 1) * self.val(), -(-p // m)))
+        return _power(self.truncate(n), k).truncate(prec)
 
     def __truediv__(self, other):
         """self / other for other with a nonzero F_q-scalar constant term b_0,
@@ -186,7 +199,7 @@ class USeries:
         seed = self.coeffs if c == 1 else {n: a.scale(c) for n, a in self.coeffs.items()}
         offsets = [(k, -b if c == 1 else b.scale(f.neg(c)))
                    for k, b in sorted(other.coeffs.items()) if k]
-        return USeries._raw(f, prec, _relaxed_solve(f, prec, seed, [(1, offsets, None)]))
+        return USeries._raw(f, prec, _relaxed_solve(f, prec, seed, [(0, offsets)]))
 
     # -- Frobenius-type maps ----------------------------------------------------
 
@@ -286,22 +299,22 @@ def _reversed_phi(c):
                     for i in range(d + 1) if not phi[i].is_zero}
 
 
-def _relaxed_solve(field, prec, seed, rules):
+def _relaxed_solve(field, prec, seed, terms):
     """The x_n, n < prec, of x_n = seed_n + contributions of the x_k with k < n.
 
-    seed maps exponents to coefficients.  Each rule (scale, offsets,
-    transform) says that x_k contributes a * transform(x_k) to
-    x_(k*scale + m) for every (m, a) in offsets, which must be sorted by m;
-    transform None means the identity.  The solve is relaxed: a nonzero x_k
+    seed maps exponents to coefficients.  Each term (i, offsets) says that
+    x_k contributes a * tau**i(x_k) to x_(k*q**i + m) for every (m, a) in
+    offsets, which must be sorted by m.  The solve is relaxed: a nonzero x_k
     pushes its pairs to the pending lists of the exponents it reaches, so
     an exponent nobody reaches costs one dict lookup, an exponent only its
     seed reaches takes the seed with no product, and every other exponent
     costs one BiPoly.sum_of_products.  A contribution lands only above
-    its source (k*scale + m > k): x_k is final once found, so the term of
+    its source (k*q**i + m > k): x_k is final once found, so the term of
     x_0 in itself, such as g_0 tau(x_0) in the d2 recurrence, is left to
     the seed.  Returns {n: x_n} for the nonzero x_n.
     """
     one = BiPoly.one(field)
+    rules = [(i, field.q ** i, offsets) for i, offsets in terms]
     pending = {n: [(one, c)] for n, c in seed.items() if n < prec}
     x = {}
     for n in range(min(pending, default=prec), prec):
@@ -316,11 +329,11 @@ def _relaxed_solve(field, prec, seed, rules):
         if xn.is_zero:
             continue
         x[n] = xn
-        for scale, offsets, transform in rules:
+        for i, scale, offsets in rules:
             base = n * scale
             if not offsets or base + offsets[0][0] >= prec:
                 continue
-            y = xn if transform is None else transform(xn)
+            y = xn.tau_twist(i)
             for m, a in offsets:
                 j = base + m
                 if j >= prec:
@@ -363,11 +376,11 @@ def coset_denominators(field, d, work):
     steps = []
     for _ in range(d):
         d1 = den.pop(1)
-        d1_q2 = (d1 ** (q - 2)).truncate(work)
-        d1_q1 = (d1_q2 * d1).truncate(work)
+        d1_q2 = pow(d1, q - 2, work)
+        # at q = 2, d1**(q-2) is 1 and d1**(q-1) is d1: no product
+        d1_q1 = d1 if q == 2 else (d1_q2 * d1).truncate(work)
         steps.append((d1_q2, d1_q1, tuple(den)))
-        den = [c.truncate(-(-work // q)).frobenius(1).truncate(work)
-               - (c * d1_q1).truncate(work) for c in den]
+        den = [pow(c, q, work) - (c * d1_q1).truncate(work) for c in den]
     return tuple(steps), den[0]
 
 
@@ -395,7 +408,7 @@ def coset_sum(chain, weights):
     # c_k not summed out yet, by increasing k
     num = [USeries(field, work, {0: weights[k]}) for k in (d, *range(d))]
     for d1_q2, d1_q1, rest in steps:
-        n1_d1_q2 = (num.pop(1) * d1_q2).truncate(work)
+        n1_d1_q2 = num.pop(1) if field.q == 2 else (num.pop(1) * d1_q2).truncate(work)
         num = [(n1_d1_q2 * c - a * d1_q1).truncate(work) for a, c in zip(num, rest)]
     return num[0].shift(field.q ** d) / den
 
@@ -437,7 +450,7 @@ def u_c_power(uc, c, l):
         return y
     # each down step loses q**d of precision, and u_c**q is known modulo
     # u**(q * prec), which covers the q - l steps since l * q**d < prec
-    y = uc.frobenius(1).truncate(prec + (q - l) * qd)
+    y = pow(uc, q, prec + (q - l) * qd)
     p_c = USeries(field, y.prec, pc)
     for _ in range(q - l):
         y = (y * p_c).shift(-qd)

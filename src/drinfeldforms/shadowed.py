@@ -11,7 +11,7 @@ The sum of one product per tile pattern,
             prod_{j in S_1} g**(q**j) *
             prod_{i in S_2} (t - theta**(q**(i+1))) delta**(q**i),
 
-is summed by grouping the patterns by their last tile (_tiling_sum).
+is summed by grouping the patterns by their last tile (g1k_shadowed).
 Its negative agrees with d2 modulo u**(q**(k-1) (q-1)), which
 check_d2_approx certifies against the recurrence solution FormCatalog.d2.
 """
@@ -76,45 +76,34 @@ def partition_counts(n_max):
 
 
 def g1k_shadowed(catalog, k):
-    """The closed-form sequence entry G_k = -T_k built from order-2 partitions.
+    """The closed-form sequence entry G_k, cached on the catalog.
 
-    G_0 = -1 (empty tiling), G_1 = -g, G_2 = -g**(q+1) - (t - theta**q) delta.
-    """
+    G_k is minus the sum over the order-2 partitions of k of the products
+    of their tiles.  Grouped by the last tile, a square at k - 1 or a
+    domino at k - 2,
+
+        G_k = G_(k-1) g**(q**(k-1)) + G_(k-2) delta**(q**(k-2)) (t - theta**(q**(k-1))),
+
+    from G_0 = -1 (empty tiling) and G_1 = -g, so each G_k costs two series
+    products; G_2 = -g**(q+1) - (t - theta**q) delta.  pow takes each
+    Frobenius image x**(q**j) from x modulo u**ceil(prec / q**j), so
+    theta-degrees stay below prec * deg x, not q**j.  Once
+    delta**(q**(k-2)) vanishes modulo u**prec, so does the domino, and
+    t - theta**(q**(k-1)) is not built."""
     if k < 0:
         raise ValueError("k must be >= 0")
-    return -_tiling_sum(catalog, k)
 
-
-def _tiling_sum(catalog, k):
-    """T_k, the sum over the order-2 partitions of k of the products of
-    their tiles, cached on the catalog.
-
-    Grouped by the last tile, a square at k - 1 or a domino at k - 2,
-
-        T_k = T_(k-1) g**(q**(k-1)) + T_(k-2) delta**(q**(k-2)) (t - theta**(q**(k-1))),
-
-    with T_0 = 1 and T_1 = g, so each T_k costs two series products.
-    A Frobenius image x**(q**j) is needed modulo u**prec only, so x is
-    truncated to ceil(prec / q**j) first: theta-degrees stay below
-    prec * deg x, not q**j.  Once delta**(q**(k-2)) vanishes modulo
-    u**prec, so does the domino, and t - theta**(q**(k-1)) is not built."""
     def build():
         field, prec, q = catalog.field, catalog.prec, catalog.field.q
-        if k == 0:
-            return USeries.one(field, prec)
-
-        def frobenius(x, j):
-            return x.truncate(-(-prec // q ** j)).frobenius(j)
-
-        total = (_tiling_sum(catalog, k - 1) * frobenius(catalog.g, k - 1)).truncate(prec)
-        if k == 1:
-            return total
-        domino = (_tiling_sum(catalog, k - 2) * frobenius(catalog.delta, k - 2)).truncate(prec)
+        if k < 2:
+            return -(catalog.g if k else USeries.one(field, prec))
+        total = g1k_shadowed(catalog, k - 1) * pow(catalog.g, q ** (k - 1), prec)
+        domino = g1k_shadowed(catalog, k - 2) * pow(catalog.delta, q ** (k - 2), prec)
         if domino.is_zero:
             return total
         return total + domino.scale(t_minus_theta_pow(field, q ** (k - 1)))
 
-    return catalog._cached(("tiling", k), build)
+    return catalog._cached(("G", k), build)
 
 
 def check_d2_approx(catalog, k):

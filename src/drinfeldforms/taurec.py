@@ -64,6 +64,10 @@ class TauOperator:
 
 def operator_l1(catalog):
     """tau**0 - g tau**1 - delta (t - theta**q) tau**2."""
+    if catalog.delta_t.is_zero:
+        # the tau**2 coefficient has valuation q - 1
+        raise PrecisionError(
+            f"precision {catalog.prec} too small to represent the order-2 operator")
     return TauOperator([USeries.one(catalog.field, catalog.prec), -catalog.g, -catalog.delta_t])
 
 
@@ -78,9 +82,9 @@ def operator_l2(catalog):
     field, prec, q = catalog.field, catalog.prec, catalog.field.q
     g, d, d_t = catalog.g, catalog.delta, catalog.delta_t
     tq2 = t_minus_theta_pow(field, q * q)
-    g_one_minus_q = g / g ** q
-    b = ((g ** (1 + q)).truncate(prec) + d_t).truncate(prec)
-    a3 = (g_one_minus_q * (d ** (1 + 2 * q)).truncate(prec)).truncate(prec)
+    g_one_minus_q = g / pow(g, q, prec)
+    b = pow(g, 1 + q, prec) + d_t
+    a3 = g_one_minus_q * pow(d, 1 + 2 * q, prec)
     a3 = a3.scale(t_minus_theta_pow(field, q)).scale(tq2 * tq2)
     if a3.is_zero:
         # the tau**3 coefficient has valuation (1 + 2q)(q - 1)
@@ -99,7 +103,7 @@ def g_sequence(catalog, l, k_max):
     q = catalog.field.q
     if not 1 <= l <= q:
         raise ValueError(f"l must satisfy 1 <= l <= q, got {l}")
-    powers = [(g1k_shadowed(catalog, k) ** l).truncate(catalog.prec) for k in range(k_max + 1)]
+    powers = [pow(g1k_shadowed(catalog, k), l, catalog.prec) for k in range(k_max + 1)]
     return powers if l % 2 else [-power for power in powers]
 
 

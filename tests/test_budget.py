@@ -55,12 +55,13 @@ def test_sym_det_stays_within_its_count_budget(monkeypatch):
 
 
 @pytest.mark.parametrize("argv, kernel_calls, restrides", [
-    ("expand --form d2 --p 3 --uprec 243", 1207, 1047),
+    ("expand --form d2 --p 3 --uprec 243", 1179, 1047),
     ("expand --form EE --p 3 --uprec 243", 458, 1096),
-    ("check --identity recurrence-l1 --p 2 --uprec 32", 1230, 2107),
-    ("experiment --name resolve-recursive --nu 3 --p 2 --uprec 128", 5117, 0),
+    ("check --identity recurrence-l1 --p 2 --uprec 32", 1169, 2107),
+    ("experiment --name resolve-recursive --nu 3 --p 2 --uprec 128", 4882, 0),
     ("check --identity lvals --n 5 --p 3", 1342, 489),
-    ("check --identity recurrence-l2 --p 3 --uprec 27", 454, 351),
+    ("check --identity recurrence-l2 --p 3 --uprec 27", 425, 351),
+    ("expand --form f --l 2 --nu 2 --p 3 --uprec 243", 578, 0),
     ("check --identity lemma2", 41, 24),
 ])
 def test_series_command_stays_within_its_count_budget(monkeypatch, argv, kernel_calls,
@@ -72,10 +73,17 @@ def test_series_command_stays_within_its_count_budget(monkeypatch, argv, kernel_
 
 
 def test_resolve_recursive_at_q2_builds_no_u_c(monkeypatch):
-    # f_{1, nu} is summed in closed form and f_{2, nu} is its Frobenius
-    # image, so no sum divides once per monic c
+    # f_{1, nu} is summed in closed form and f_{2, nu} is its square, a
+    # Frobenius image, so no sum divides once per monic c
     code, counts = count_operations(
         monkeypatch, "experiment --name resolve-recursive --nu 3 --p 2 --uprec 128")
+    assert code == 0
+    assert counts["u_c_builds"] == 0, counts
+
+
+def test_f_l_nu_between_1_and_q_builds_no_u_c(monkeypatch):
+    # f_{2, nu} over F_3 is f_{1, nu}**2, whose base is summed in closed form
+    code, counts = count_operations(monkeypatch, "expand --form f --l 2 --nu 2 --p 3 --uprec 243")
     assert code == 0
     assert counts["u_c_builds"] == 0, counts
 

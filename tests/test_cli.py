@@ -317,10 +317,15 @@ def test_f_power_at_l_1_compares_against_the_brute_force_sum(capsys, monkeypatch
     (["--identity", "lemma3", "--n", "-1"], 2),
     (["--identity", "coset-sum", "--nu", "-1"], 2),
     (["--identity", "coset-sum", "--nu", "0"], 2),
+    (["--identity", "e-power", "--uprec", "1"], 3),
+    (["--identity", "f-power", "--p", "3", "--uprec", "2"], 3),
+    (["--identity", "ee-h-tau-d2", "--uprec", "1"], 3),
+    (["--identity", "recurrence-l1", "--p", "3", "--uprec", "2"], 3),
 ], ids=["d2-approx-no-certifiable-k", "partitions-negative-n", "lemma3-no-trials",
         "sym-det-no-trials", "lemma2-empty-l-range", "coset-sum-no-term-of-g",
         "lemma3-no-variables", "lemma3-negative-n", "coset-sum-negative-nu",
-        "coset-sum-nu-zero"])
+        "coset-sum-nu-zero", "e-power-no-term", "f-power-no-term-at-l-2",
+        "ee-h-tau-d2-no-term", "recurrence-l1-no-delta-term"])
 def test_check_that_would_certify_nothing_is_rejected(capsys, argv, exit_code):
     code, out = run_cli(capsys, "check", *argv)
     assert code == exit_code

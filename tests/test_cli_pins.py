@@ -42,6 +42,10 @@ CASES = {
                            "--seed 5 --format tsv",
     "check-lvals-l4-usage": "check --identity lvals --l 4 --p 3",
     "check-d2approx-k4-underflow": "check --identity d2-approx --k 4 --p 3 --uprec 20",
+    "check-epower-u1-underflow": "check --identity e-power --uprec 1",
+    "check-fpower-q3-u2-underflow": "check --identity f-power --p 3 --uprec 2",
+    "check-eehtaud2-u1-underflow": "check --identity ee-h-tau-d2 --uprec 1",
+    "check-recl1-q3-u2-underflow": "check --identity recurrence-l1 --p 3 --uprec 2",
     "exp-conjfs-q2-u16": "experiment --name conjecture-fs --s 1..3 --p 2 --uprec 16",
     "exp-conjfs-q2-u16-empty": "experiment --name conjecture-fs --s 1..0 --p 2 --uprec 16",
     "exp-resolve-q2-u64": "experiment --name resolve-recursive --nu 3 --p 2 --uprec 64",

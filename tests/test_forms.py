@@ -227,10 +227,13 @@ def test_check_f_power_specific_case():
 
 @pytest.mark.parametrize("field", [F2, F3, F4, F5], ids=lambda f: f"F{f.q}")
 def test_f_q_nu_is_the_frobenius_image_of_the_brute_force_sum(field):
+    # f_l_nu(l, nu) = f_{1, nu}**l (for l = q a Frobenius image) is the
+    # brute-force sum at every 1 <= l <= q
     q = field.q
     cat = FormCatalog(field, 2 * q ** 2 + 3)
     for nu in range(3):
-        assert cat.f_l_nu(q, nu) == cat.a_expansion(q, power_weight(q ** (nu + 1))), nu
+        for l in range(1, q + 1):
+            assert cat.f_l_nu(l, nu) == cat.a_expansion(l, power_weight(l * q ** nu)), (l, nu)
 
 
 def test_f_l_nu_range_validation():

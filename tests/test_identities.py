@@ -94,7 +94,7 @@ def test_lemma3_n1_both_sides_equal_minus_ratio_power():
 
 
 def test_lemma3_l1_is_trivially_true():
-    inst = BruteForceInstance.random(F4, 3, 1, seed=9)
+    inst = BruteForceInstance.random(F4, 3, 1, rng=random.Random(9))
     assert lemma3_bruteforce(inst)
 
 
@@ -138,10 +138,10 @@ def test_dependent_w_rejected():
 
 
 def test_random_instance_is_reproducible():
-    a = BruteForceInstance.random(F3, 2, 2, seed=5)
-    b = BruteForceInstance.random(F3, 2, 2, seed=5)
+    a = BruteForceInstance.random(F3, 2, 2, rng=random.Random(5))
+    b = BruteForceInstance.random(F3, 2, 2, rng=random.Random(5))
     assert (a.vs, a.ws) == (b.vs, b.ws)
-    c = BruteForceInstance.random(F3, 2, 2, seed=6)
+    c = BruteForceInstance.random(F3, 2, 2, rng=random.Random(6))
     assert (a.vs, a.ws) != (c.vs, c.ws)
 
 
@@ -157,7 +157,7 @@ PINNED_DRAWS = {
 @pytest.mark.parametrize("key", PINNED_DRAWS, ids=str)
 def test_random_instance_draws_are_pinned(key):
     p, e, n, seed = key
-    inst = BruteForceInstance.random(finite_field(p, e), n, 2, seed=seed)
+    inst = BruteForceInstance.random(finite_field(p, e), n, 2, rng=random.Random(seed))
     assert (inst.vs, inst.ws) == PINNED_DRAWS[key]
 
 
@@ -177,20 +177,20 @@ def test_random_instance_builds_one_span(monkeypatch):
         built.append(1)
         return span(*args)
     monkeypatch.setattr(identities, "_Span", counted)
-    BruteForceInstance.random(F3, 3, 2, seed=4)
+    BruteForceInstance.random(F3, 3, 2, rng=random.Random(4))
     assert len(built) == 1
 
 
 def test_random_instance_rejects_bad_l():
     with pytest.raises(ValueError):
-        BruteForceInstance.random(F3, 2, 0, seed=1)
+        BruteForceInstance.random(F3, 2, 0, rng=random.Random(1))
 
 
 @pytest.mark.parametrize("n", [0, -1])
 def test_random_instance_rejects_no_variables(n):
     # an empty W would make lemma3_bruteforce compare 0 with 0
     with pytest.raises(ValueError):
-        BruteForceInstance.random(F3, n, 2, seed=1)
+        BruteForceInstance.random(F3, n, 2, rng=random.Random(1))
 
 
 def test_instance_rejects_empty_or_unequal_lists():
@@ -202,7 +202,7 @@ def test_instance_rejects_empty_or_unequal_lists():
 
 
 def test_random_instance_raises_m_for_large_n():
-    inst = BruteForceInstance.random(F2, 5, 1, seed=1)
+    inst = BruteForceInstance.random(F2, 5, 1, rng=random.Random(1))
     assert inst.ext.q == 2 ** 5
 
 

@@ -205,26 +205,38 @@ def test_d2_matches_dense_loop(field, prec):
 
 
 def test_contribution_landing_on_its_source_is_left_to_the_seed():
-    # x_n = x_(n/2) [n even] + x_((n-1)/2) [n odd], from x_0 = 1: the offset-0
-    # rule lands x_0 on itself, which must neither loop nor change x_0
+    # x_n = tau(x_(n/2)) [n even] + tau(x_((n-1)/2)) [n odd] over F_2, from
+    # x_0 = 1: the offset-0 term lands x_0 on itself, which must neither loop
+    # nor change x_0
     field = finite_field(2)
     one = BiPoly.one(field)
-    x = _relaxed_solve(field, 40, {0: one}, [(2, [(0, one), (1, one)], None)])
+    x = _relaxed_solve(field, 40, {0: one}, [(1, [(0, one), (1, one)])])
     assert x == {n: one for n in range(40)}
 
 
-def test_transforms_run_once_per_found_coefficient():
+def test_transforms_run_once_per_found_coefficient(monkeypatch):
     field = finite_field(3)
     one = BiPoly.one(field)
-    seen = []
+    theta = BiPoly(field, {(1, 0): 1})
+    twists = []
+    tau_twist = BiPoly.tau_twist
 
-    def transform(x):
-        seen.append(x)
-        return x
+    def counted(x, k=1):
+        twists.append(k)
+        return tau_twist(x, k)
 
-    # x_n = seed_n + x_(n-1) + x_(n-2): both offsets share one transform
-    x = _relaxed_solve(field, 20, {0: one}, [(1, [(1, one), (2, one)], transform)])
-    assert len(seen) == len([n for n in x if n + 1 < 20])
+    monkeypatch.setattr(BiPoly, "tau_twist", counted)
+    # x_n = seed_n + theta tau(x_k) for n = 3k + 1 and n = 3k + 2: both
+    # offsets share one twist of each x_k that reaches below the precision
+    x = _relaxed_solve(field, 60, {0: one}, [(1, [(1, theta), (2, theta)])])
+    assert twists == [1] * len([n for n in x if 3 * n + 1 < 60]) == [1] * 11
+    # division is the term i = 0: x_n = seed_n + x_(n-1) + x_(n-2), each
+    # found x_n twisted once by tau**0
+    twists.clear()
+    y = _relaxed_solve(field, 20, {0: one}, [(0, [(1, one), (2, one)])])
+    assert twists == [0] * len([n for n in y if n + 1 < 20])
+    monkeypatch.undo()
+    assert x[4] == x[5] == theta * theta.tau_twist(1)
 
 
 def test_unreached_exponents_make_no_kernel_call(monkeypatch):

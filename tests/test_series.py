@@ -247,6 +247,32 @@ def test_recomputing_at_higher_precision_truncates_back(field, data):
     assert truncates_back(a_hi / c_hi, a / c)
 
 
+@pytest.mark.parametrize("field", [F2, F3, F4, F5, finite_field(3, 2)], ids=lambda f: f"F{f.q}")
+@settings(max_examples=25)
+@given(data=st.data())
+def test_modular_power_is_the_truncated_power(field, data):
+    # pow(x, k, prec) is (x**k).truncate(prec) at every prec up to the
+    # precision of x**k, for any valuation of x (prec itself: no term left);
+    # above it, or at prec 0, both raise the same PrecisionError
+    prec = data.draw(st.integers(1, 10))
+    val = data.draw(st.integers(0, prec))
+    exps = data.draw(st.sets(st.integers(val, prec - 1), max_size=5)) if val < prec else set()
+    coeffs = {n: BiPoly(field, data.draw(st.dictionaries(
+        st.tuples(st.integers(0, 3), st.integers(0, 1)), st.integers(1, field.q - 1),
+        min_size=1, max_size=3))) for n in exps | ({val} if val < prec else set())}
+    x = USeries(field, prec, coeffs)
+    k = data.draw(st.integers(0, 3 * field.q))
+    power = x ** k
+    for p in range(1, power.prec + 1):
+        assert pow(x, k, p) == power.truncate(p), p
+    for p in (0, power.prec + 1, power.prec + field.q):
+        with pytest.raises(PrecisionError) as truncated:
+            power.truncate(p)
+        with pytest.raises(PrecisionError) as modular:
+            pow(x, k, p)
+        assert str(modular.value) == str(truncated.value)
+
+
 # -- Carlitz module --------------------------------------------------------------------------
 
 
