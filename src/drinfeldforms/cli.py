@@ -344,8 +344,8 @@ def _check_sym_det(args, field):
     trials = _given(args.trials, 50)
     rng = random.Random(args.seed)
     ls = _parse_values(args.l, field.q) if args.l is not None else [1, 2, 3, 4]
-    return [{"q": field.q, "l": l, "trials": trials,
-             "pass": sym_det_trials(field, l, trials, rng)} for l in ls]
+    return [{"q": field.q, "l": l, "trials": trials, "pass": ok}
+            for l, ok in zip(ls, sym_det_trials(field, ls, trials, rng))]
 
 
 def _check_partitions(args, field):

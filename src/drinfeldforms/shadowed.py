@@ -41,6 +41,7 @@ def enumerate_shadowed(r, n):
                 blocks[size - 1].pop()
 
     place(0)
+    del place  # it refers to itself: free `results` with the caller's reference
     results.sort(key=lambda parts: tuple(tuple(sorted(s)) for s in parts))
     return results
 

@@ -14,7 +14,21 @@ their negated squares.
 sym_power_matrix is the degree-l symmetric power of a 2x2 matrix in the
 monomial basis X**l, X**(l-1) Y, ..., Y**l; it is multiplicative and its
 determinant is (ad - bc)**((l*l + l) // 2).
+
+sym_det_trials checks that determinant on random matrices.  It draws
+every matrix first, from one rng in a fixed order, and then evaluates the
+independent trials on every usable CPU: one forked child per CPU takes
+trials off one queue until none is left, sends its booleans back through
+a pipe and leaves by os._exit, while this process waits.  The draws, the
+result and any exception do not depend on the number of CPUs or on which
+child ran which trial.  With one usable CPU, without os.fork or
+os.sched_getaffinity, or while another thread runs, every trial runs in
+this process.
 """
+
+import marshal
+import os
+import sys
 
 from .errors import PrecisionError
 from .forms import t_minus_theta_pow
@@ -177,8 +191,111 @@ def matrix_det(matrix):
         return acc
 
     det = minor(tuple(range(n)))
+    del minor  # it refers to itself: free the memo now, not at a later collection
     odd = sum(order[i] > order[j] for i in range(n) for j in range(i + 1, n)) % 2
     return -det if odd else det
+
+
+def _usable_cpus():
+    """CPUs this process may run on; 1 where forking is unavailable or unsafe
+    (another live thread could hold a lock that the child then never gets)."""
+    threading = sys.modules.get("threading")
+    if (not hasattr(os, "fork") or not hasattr(os, "sched_getaffinity")
+            or threading is not None and threading.active_count() > 1):
+        return 1
+    return len(os.sched_getaffinity(0))
+
+
+def _run_child(fn, items, queue, step, write):
+    """In a forked child: take chunks of `step` items off the queue pipe
+    until it is empty, write marshal({k: fn(items[k])}) to the pipe `write`
+    and exit 0, or exit 1 having written nothing.  Never returns, never
+    runs the parent's atexit handlers and never flushes stdio buffers it
+    inherited."""
+    status = 1
+    try:
+        done = {}
+        while record := os.read(queue, 4):
+            start = int.from_bytes(record, "little")
+            for k in range(start, min(start + step, len(items))):
+                done[k] = fn(items[k])
+        data = marshal.dumps(done)
+        while data:
+            data = data[os.write(write, data):]
+        status = 0
+    finally:
+        os._exit(status)
+
+
+def _map_on_cpus(fn, items):
+    """[fn(x) for x in items], fn pure with marshal-able results.
+
+    With n = min(usable CPUs, len(items)) > 1, the items are queued in
+    chunks in a pipe and n children are forked; they take chunks off the
+    queue until it is empty, so a CPU that runs faster takes more, and each
+    sends its results back through its own pipe.  This process only waits,
+    so what it computes (and what a counter in it sees) does not depend on
+    how the children shared the work.  An item that no child finished (a
+    child failed, or an item raised) is computed here, in order, so the
+    results, and the exception raised by the first item that raises, are
+    those of the plain loop.  No child outlives the call, whatever it
+    raises."""
+    n = min(_usable_cpus(), len(items))
+    done = _map_on_children(fn, items, n) if n > 1 else {}
+    return [done[k] if k in done else fn(x) for k, x in enumerate(items)]
+
+
+def _map_on_children(fn, items, forks):
+    """{k: fn(items[k])} for the items that `forks` children finish; see _map_on_cpus."""
+    # at most 1024 records of 4 bytes: the queue fits in any pipe, and is
+    # written whole before anyone reads it
+    step = -(-len(items) // 1024)
+    queue, write = os.pipe()
+    os.write(write, b"".join(k.to_bytes(4, "little") for k in range(0, len(items), step)))
+    os.close(write)
+    parent = os.getpid()
+    children = []  # [pid until reaped, read end of its pipe]
+    done = {}
+    try:
+        for _ in range(forks):
+            read, write = os.pipe()
+            try:
+                pid = os.fork()
+            except OSError:  # no process to spare: fewer workers
+                os.close(read)
+                os.close(write)
+                break
+            if pid == 0:
+                os.close(read)
+                _run_child(fn, items, queue, step, write)
+            os.close(write)
+            children.append([pid, read])
+        for child in children:
+            chunks = []
+            while chunk := os.read(child[1], 1 << 16):
+                chunks.append(chunk)
+            _, status = os.waitpid(child[0], 0)
+            child[0] = None
+            try:
+                out = marshal.loads(b"".join(chunks)) if status == 0 else None
+            except (EOFError, ValueError, TypeError):
+                out = None
+            if isinstance(out, dict):
+                done.update(out)
+    finally:
+        if os.getpid() != parent:  # a child interrupted before it reached _run_child
+            os._exit(1)
+        os.close(queue)
+        for pid, read in children:
+            os.close(read)
+            if pid is not None:
+                import signal  # only an interrupted call gets here: keep it off the import
+                try:
+                    os.kill(pid, signal.SIGKILL)
+                    os.waitpid(pid, 0)
+                except (ProcessLookupError, ChildProcessError):
+                    pass
+    return done
 
 
 def _random_entry(field, rng):
@@ -190,13 +307,22 @@ def _random_entry(field, rng):
     return BiPoly(field, terms)
 
 
-def sym_det_trials(field, l, trials, rng):
-    """det Sym**l = (ad - bc)**((l*l + l) // 2) on `trials` random matrices
-    [[a, b], [c, d]] drawn from rng; False at the first that fails."""
+def _sym_det_holds(draw):
+    l, a, b, c, d = draw
+    return matrix_det(sym_power_matrix(a, b, c, d, l)) == (a * d - b * c) ** ((l * l + l) // 2)
+
+
+def sym_det_trials(field, ls, trials, rng):
+    """[det Sym**l = (ad - bc)**((l*l + l) // 2) on all of `trials` random
+    matrices [[a, b], [c, d]], for each l in ls].  Every matrix is drawn from
+    rng first, l by l and trial by trial, so the draws of one l do not
+    depend on whether another l fails; the trials then run on every usable
+    CPU."""
     if trials < 1:
         raise ValueError("trials must be >= 1")
-    for _ in range(trials):
-        a, b, c, d = (_random_entry(field, rng) for _ in range(4))
-        if matrix_det(sym_power_matrix(a, b, c, d, l)) != (a * d - b * c) ** ((l * l + l) // 2):
-            return False
-    return True
+    if any(l < 1 for l in ls):
+        raise ValueError("l must be >= 1")
+    draws = [(l, *(_random_entry(field, rng) for _ in range(4)))
+             for l in ls for _ in range(trials)]
+    holds = _map_on_cpus(_sym_det_holds, draws)
+    return [all(holds[k:k + trials]) for k in range(0, len(holds), trials)]

@@ -8,6 +8,7 @@ measured when it was set; lower it when a change does less work.
 
 import contextlib
 import io
+import os
 
 import pytest
 
@@ -18,9 +19,15 @@ from drinfeldforms.series import USeries
 
 
 def count_operations(monkeypatch, argv):
+    """(exit code, counts) of one in-process CLI call.
+
+    The sym-det trials run on every usable CPU, and a forked child's kernel
+    calls are not counted here: the CPU count is patched to 1, so that every
+    trial runs in this process and a budget bounds the whole command."""
     # the phi_{theta**k} chain is cached per process: build it afresh, so
     # that the counts do not depend on which tests ran before
     series._phi_theta_power.cache_clear()
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0})
     counts = {"kernel_calls": 0, "restrides": 0, "u_c_builds": 0}
     kernel, restride = polynomials._product_sum, polynomials._restride
     u_c_expansion = forms.u_c_expansion
@@ -52,6 +59,12 @@ def test_sym_det_stays_within_its_count_budget(monkeypatch):
     assert code == 0
     assert counts["kernel_calls"] <= 18000, counts
     assert counts["restrides"] <= 23472, counts
+
+
+def test_sym_det_rejects_a_bad_l_before_any_product(monkeypatch):
+    code, counts = count_operations(monkeypatch, "check --identity sym-det --p 3 --l 5,0 --seed 1")
+    assert code == 2
+    assert counts["kernel_calls"] == 0, counts
 
 
 @pytest.mark.parametrize("argv, kernel_calls, restrides", [

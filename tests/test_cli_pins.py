@@ -10,13 +10,17 @@ after an intentional change with
 import contextlib
 import io
 import json
+import os
 import pathlib
+import subprocess
+import sys
 
 import pytest
 
 from drinfeldforms.cli import CHECKS, EXPERIMENTS, main
 
 PIN_DIR = pathlib.Path(__file__).parent / "golden" / "cli"
+SRC = pathlib.Path(__file__).resolve().parents[1] / "src"
 
 CASES = {
     "check-lemma1-q2": "check --identity lemma1 --p 2",
@@ -32,6 +36,7 @@ CASES = {
     "check-recl1-q2-u16-k1-short": "check --identity recurrence-l1 --p 2 --uprec 16 --k 1",
     "check-recl2-q3-u27": "check --identity recurrence-l2 --p 3 --uprec 27 --k 4",
     "check-symdet-q3": "check --identity sym-det --p 3 --trials 4 --seed 3",
+    "check-symdet-l0-usage": "check --identity sym-det --p 3 --l 5,0 --seed 1",
     "expand-f-l2-nu2-q2-u32": "expand --form f --l 2 --nu 2 --p 2 --uprec 32",
     "expand-f-l3-nu1-q3-u27": "expand --form f --l 3 --nu 1 --p 3 --uprec 27",
     "check-partitions-n8": "check --identity partitions --n 8",
@@ -92,6 +97,44 @@ def test_cli_stdout_pin(case):
     code, out = run(CASES[case])
     assert code == pin["exit"]
     assert out == (PIN_DIR / f"{case}.out").read_text()
+
+
+# Runs the command line with the CPU count patched to {cpus}; a command that
+# exits 0 without forking {cpus} children says so on stderr.
+FORCED_CPUS = """\
+import os, sys
+os.sched_getaffinity = lambda pid: set(range({cpus}))
+fork, forked = os.fork, []
+def counted_fork():
+    pid = fork()
+    forked.append(pid)
+    return pid
+os.fork = counted_fork
+from drinfeldforms.cli import main
+code = main(sys.argv[1:])
+if code == 0 and len(forked) != {cpus}:
+    sys.stderr.write(f"forked {{len(forked)}} children")
+sys.exit(code)
+"""
+
+
+@pytest.mark.parametrize("cpus", [2, 3])
+@pytest.mark.parametrize("case", sorted(c for c, argv in CASES.items() if "sym-det" in argv))
+def test_sym_det_pin_with_forked_children_under_dev_mode(case, cpus):
+    # the fork path on any machine and Python, warnings as errors: the same
+    # stdout and exit code, and no stderr but a usage error's one line
+    pin = json.loads((PIN_DIR / "index.json").read_text())[case]
+    env = {**os.environ,
+           "PYTHONPATH": os.pathsep.join(filter(None, [str(SRC), os.environ.get("PYTHONPATH")]))}
+    proc = subprocess.run([sys.executable, "-X", "dev", "-W", "error", "-c",
+                           FORCED_CPUS.format(cpus=cpus), *pin["argv"].split()],
+                          capture_output=True, text=True, env=env, timeout=300)
+    assert proc.returncode == pin["exit"], proc.stderr
+    assert proc.stdout == (PIN_DIR / f"{case}.out").read_text()
+    if pin["exit"] == 2:
+        assert proc.stderr.startswith("error: ") and proc.stderr.count("\n") == 1
+    else:
+        assert proc.stderr == ""
 
 
 if __name__ == "__main__":

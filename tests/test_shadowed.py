@@ -1,4 +1,5 @@
 import contextlib
+import gc
 import io
 import tracemalloc
 from itertools import chain, combinations
@@ -69,6 +70,14 @@ def test_p2_counts_match_tilings():
     counts = tiling_counts(12)
     for n in range(13):
         assert len(enumerate_shadowed(2, n)) == counts[n]
+
+
+def test_enumerating_partitions_leaves_no_garbage_for_the_collector():
+    # a reference cycle would keep every partition alive until the next
+    # collection, several MB at n = 16
+    gc.collect()
+    enumerate_shadowed(2, 8)
+    assert gc.collect() == 0
 
 
 def test_partition_counts(monkeypatch):

@@ -1,4 +1,10 @@
+import gc
+import os
 import random
+import signal
+import sys
+import threading
+import time
 from itertools import permutations
 from math import comb
 
@@ -150,12 +156,167 @@ def test_sym_power_determinant(field):
 
 
 def test_sym_det_trials(monkeypatch):
-    assert sym_det_trials(F3, 3, 5, random.Random(1))
+    assert sym_det_trials(F3, [3], 5, random.Random(1)) == [True]
     with pytest.raises(ValueError):
-        sym_det_trials(F3, 3, 0, random.Random(1))
+        sym_det_trials(F3, [3], 0, random.Random(1))
     # a wrong determinant is caught
     monkeypatch.setattr(taurec, "matrix_det", lambda matrix: BiPoly.zero(F3))
-    assert not sym_det_trials(F3, 3, 5, random.Random(1))
+    assert sym_det_trials(F3, [3], 5, random.Random(1)) == [False]
+
+
+def test_sym_det_trials_reject_a_bad_l_before_drawing():
+    rng = random.Random(1)
+    state = rng.getstate()
+    with pytest.raises(ValueError, match="l must be >= 1"):
+        sym_det_trials(F3, [5, 0], 3, rng)
+    assert rng.getstate() == state
+
+
+# -- the trials on every usable CPU ------------------------------------------------------
+
+
+def force_cpus(monkeypatch, cpus):
+    """Make the process see `cpus` usable CPUs; returns the list of forked pids."""
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(cpus)))
+    forked, fork = [], os.fork
+
+    def counted_fork():
+        pid = fork()
+        if pid:
+            forked.append(pid)
+        return pid
+
+    monkeypatch.setattr(os, "fork", counted_fork)
+    return forked
+
+
+def assert_no_child_left():
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+def replayed_draws(ls, trials, seed):
+    rng = random.Random(seed)
+    draws = [(l, *(taurec._random_entry(F3, rng) for _ in range(4)))
+             for l in ls for _ in range(trials)]
+    return draws, rng.getstate()
+
+
+def det_patched_at(monkeypatch, draw, outcome):
+    """matrix_det returns `outcome(matrix)` on the matrix of `draw`."""
+    l, a, b, c, d = draw
+    target, real = sym_power_matrix(a, b, c, d, l), taurec.matrix_det
+    monkeypatch.setattr(taurec, "matrix_det",
+                        lambda matrix: outcome(matrix) if matrix == target else real(matrix))
+
+
+@pytest.mark.parametrize("cpus", [1, 2, 3])
+def test_sym_det_trials_draw_and_answer_alike_on_any_number_of_cpus(monkeypatch, cpus):
+    forked = force_cpus(monkeypatch, cpus)
+    rng = random.Random(4)
+    assert sym_det_trials(F3, [1, 2, 3], 3, rng) == [True, True, True]
+    assert rng.getstate() == replayed_draws([1, 2, 3], 3, 4)[1]
+    assert len(forked) == (cpus if cpus > 1 else 0)
+    assert_no_child_left()
+
+
+@pytest.mark.parametrize("cpus", [1, 2, 3])
+def test_sym_det_trials_fail_the_row_of_each_failing_draw(monkeypatch, cpus):
+    force_cpus(monkeypatch, cpus)
+    draws, state = replayed_draws([1, 2, 3], 3, 8)
+    assert len({repr(draw) for draw in draws}) == len(draws)
+    for k, draw in enumerate(draws):
+        with monkeypatch.context() as patch:
+            det_patched_at(patch, draw, lambda matrix: BiPoly.zero(F3))
+            rng = random.Random(8)
+            assert sym_det_trials(F3, [1, 2, 3], 3, rng) == [row != k // 3 for row in range(3)]
+            assert rng.getstate() == state
+    assert_no_child_left()
+
+
+@pytest.mark.parametrize("cpus", [2, 3])
+def test_the_first_error_in_the_loop_is_raised_by_the_call(monkeypatch, cpus):
+    force_cpus(monkeypatch, cpus)
+    draws, _ = replayed_draws([1, 2], 3, 8)
+
+    def raising(message):
+        def outcome(matrix):
+            raise ValueError(message)
+        return outcome
+
+    # a child runs draw 1 and fails; draw 2 comes after it in the loop
+    det_patched_at(monkeypatch, draws[1], raising("draw 1"))
+    with pytest.raises(ValueError, match="draw 1"):
+        sym_det_trials(F3, [1, 2], 3, random.Random(8))
+    det_patched_at(monkeypatch, draws[2], raising("draw 2"))
+    with pytest.raises(ValueError, match="draw 1"):
+        sym_det_trials(F3, [1, 2], 3, random.Random(8))
+    assert_no_child_left()
+
+
+def test_the_items_of_a_failed_child_are_computed_in_the_caller(monkeypatch):
+    force_cpus(monkeypatch, 3)
+    parent = os.getpid()
+
+    def fn(x):
+        if os.getpid() != parent:
+            if x % 3 == 1:
+                os._exit(0)  # exits 0 with nothing written: a short read
+            os.kill(os.getpid(), signal.SIGKILL)
+        return x * x
+
+    assert taurec._map_on_cpus(fn, list(range(10))) == [x * x for x in range(10)]
+    assert_no_child_left()
+
+
+def test_a_queue_of_more_items_than_records_is_taken_in_chunks(monkeypatch):
+    forked = force_cpus(monkeypatch, 2)
+    assert taurec._map_on_cpus(lambda x: x * x, list(range(3000))) == [x * x for x in range(3000)]
+    assert len(forked) == 2
+    assert_no_child_left()
+
+
+def test_an_interrupted_call_kills_and_reaps_every_child(monkeypatch):
+    forked = force_cpus(monkeypatch, 3)
+
+    def interrupt(signum, frame):
+        raise KeyboardInterrupt
+
+    previous = signal.signal(signal.SIGALRM, interrupt)
+    start = time.monotonic()
+    try:
+        signal.setitimer(signal.ITIMER_REAL, 0.2)  # not inherited by the children
+        with pytest.raises(KeyboardInterrupt):
+            taurec._map_on_cpus(lambda x: time.sleep(60), list(range(6)))
+    finally:
+        signal.setitimer(signal.ITIMER_REAL, 0)
+        signal.signal(signal.SIGALRM, previous)
+    assert len(forked) == 3 and time.monotonic() - start < 30
+    assert_no_child_left()
+
+
+def test_no_fork_while_another_thread_runs(monkeypatch):
+    forked = force_cpus(monkeypatch, 2)
+    release = threading.Event()
+    thread = threading.Thread(target=release.wait)
+    thread.start()
+    try:
+        assert sym_det_trials(F3, [1, 2], 3, random.Random(4)) == [True, True]
+    finally:
+        release.set()
+        thread.join()
+    assert forked == []
+
+
+def test_text_buffered_before_the_call_is_written_once(monkeypatch, capfd):
+    forked = force_cpus(monkeypatch, 2)
+    stream = open(os.dup(1), "w")  # block-buffered: a child that flushed it would repeat it
+    monkeypatch.setattr(sys, "stdout", stream)
+    print("written before the trials", end="")
+    assert sym_det_trials(F3, [1, 2], 3, random.Random(4)) == [True, True]
+    stream.close()
+    assert len(forked) == 2
+    assert capfd.readouterr().out == "written before the trials"
 
 
 @pytest.mark.parametrize("l", [2, 3])
@@ -271,6 +432,15 @@ def test_matrix_det_matches_leibniz(field):
                 for row in m:
                     row[col] = zero
             assert matrix_det(m) == leibniz_det(m)
+
+
+def test_matrix_det_leaves_no_garbage_for_the_collector():
+    # a reference cycle would keep every memoised minor alive until the next collection
+    a, b, c, d = (rand_bipoly(F3, random.Random(5)) for _ in range(4))
+    matrix = sym_power_matrix(a, b, c, d, 3)
+    gc.collect()
+    matrix_det(matrix)
+    assert gc.collect() == 0
 
 
 def test_matrix_det_sign_of_reordered_rows():
